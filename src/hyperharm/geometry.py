@@ -202,23 +202,18 @@ def cone_contains(region: ConeRegion, x: BallPoint) -> bool:
 
 def cone_polar_cut(region: ConeRegion, r: float) -> float:
     """Smallest t = <direction, xi> at radius r still inside the region;
-    -1 if the whole sphere of radius r is inside (r < alpha)."""
+    -1 if the whole sphere of radius r is inside (r < alpha).
+
+    For alpha <= r < 1 the hull quadratic dips below zero exactly when
+    r t - alpha^2 > sqrt((1 - alpha^2)(r^2 - alpha^2)), which gives the cut
+    in closed form (1 when no direction qualifies)."""
     a = region.alpha
     if r < a:
         return -1.0
     if r >= 1.0:
         raise ValueError("r must be < 1")
-    lo, hi = -1.0, 1.0
-    # membership is monotone in t at fixed r; bisect the sign change
-    if _cone_min_quadratic(a, r, hi) >= 0.0:
-        return 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _cone_min_quadratic(a, r, mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a2 = a * a
+    return min(1.0, (a2 + math.sqrt((1.0 - a2) * (r * r - a2))) / r)
 
 
 # ---------------------------------------------------------------------------

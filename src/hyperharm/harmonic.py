@@ -63,14 +63,20 @@ class RadialPart:
         return replace(self, polys=tuple(polys))
 
     def evaluate(self, r):
+        """Value at radii r. Each bucket p_i(r) G_i(delta^2 r^2) is
+        evaluated once per distinct radius and scattered back, so a value
+        does not depend on the other radii in r."""
         r = np.asarray(r, dtype=float)
-        x = (self.delta * r) ** 2
-        out = np.zeros(r.shape) if r.shape else 0.0
+        ru, inv = np.unique(r, return_inverse=True)
+        x = (self.delta * ru) ** 2
+        powers = ru[:, None] ** np.arange(max(len(p) for p in self.polys))
+        out = np.zeros(ru.shape)
         for i, p in enumerate(self.polys):
             if np.all(p == 0.0):
                 continue
-            out = out + _P.polyval(r, p) * sf.fl_deriv(self.l, self.n, x, i)
-        return out
+            poly = np.einsum("ij,j->i", powers[:, :len(p)], p)
+            out = out + poly * sf.fl_deriv(self.l, self.n, x, i)
+        return out[inv].reshape(r.shape) if r.shape else out[0]
 
     def scale(self, c: float) -> "RadialPart":
         return self._with([p * c for p in self.polys])
@@ -232,7 +238,9 @@ class HarmonicFunction:
         r = np.linalg.norm(pts, axis=1)
         if self.kind == "zonal":
             safe = np.where(r > 0, r, 1.0)
-            t = (pts @ self.pole) / safe
+            # einsum, not @: a BLAS matrix-vector product rounds a row
+            # differently by batch size
+            t = np.einsum("ij,j->i", pts, self.pole) / safe
             t[r == 0] = 1.0  # r^l kills l>0 modes; Z_l value irrelevant
             return self.eval_rt(r, np.clip(t, -1.0, 1.0))
         # sph3
@@ -244,7 +252,7 @@ class HarmonicFunction:
             rv = rad.evaluate(r)
             ms = np.arange(-l, l + 1)
             Y = sph_harm_y(np.full_like(ms, l), ms, theta[:, None], phi[:, None])
-            out = out + rv * (Y @ coeff)
+            out = out + rv * np.einsum("ij,j->i", Y, coeff)  # not @, as above
         return out.real
 
     def __call__(self, x: BallPoint) -> float:
@@ -522,14 +530,14 @@ def gradient_sq(u: HarmonicFunction):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             r = np.linalg.norm(pts, axis=1)
             safe = np.where(r > 0, r, 1.0)
-            t = np.clip((pts @ u.pole) / safe, -1.0, 1.0)
+            # einsum, not @, as in eval_points
+            t = np.clip(np.einsum("ij,j->i", pts, u.pole) / safe, -1.0, 1.0)
             t = np.where(r > 0, t, 1.0)
             radial = dr.eval_rt(r, t)
             out = radial ** 2
             if tang:
                 lmax = max(l for l, _ in tang)
-                dZ = np.stack([sf.zonal_deriv(l, u.n, t)
-                               for l in range(lmax + 1)])
+                dZ = sf.zonal_deriv_all(lmax, u.n, t)
                 acc = np.zeros_like(r)
                 for l, rad in tang:
                     acc += rad.evaluate(r) * dZ[l]

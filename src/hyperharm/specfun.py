@@ -25,6 +25,13 @@ SERIES_CAP = 100_000
 # where the power series slows to a crawl.
 _SERIES_X_MAX = 0.9
 
+# Block sizes of the series (terms in the first block at most, terms per
+# block at most) and the points summed together; they bound its work arrays
+# to about 16 MB.
+_SERIES_BLOCK = 64
+_SERIES_BLOCK_MAX = 1024
+_SERIES_ROWS = 1024
+
 
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial a (a+1) ... (a+k-1); 1 for k = 0."""
@@ -50,29 +57,76 @@ def gauss_Fl_at_one(l: int, n: int) -> float:
     )
 
 
+def _series_block(a: float, b: float, c: float, x, term, total, k0: int,
+                  m: int):
+    """Terms k0+1 .. k0+m of the 2F1 series and the partial sums through
+    them, continuing from term k0 and the sum through it (one row per point).
+
+    Each row repeats the recurrence term * ratio_k * x multiplication for
+    multiplication, as a running product over (term, ratio_k0, x,
+    ratio_k0+1, x, ...), and adds the terms in order by a running sum."""
+    k = np.arange(k0, k0 + m, dtype=float)
+    seq = np.empty((x.size, 2 * m + 1))
+    seq[:, 0] = term
+    seq[:, 1::2] = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+    seq[:, 2::2] = x[:, None]
+    terms = np.cumprod(seq, axis=1)[:, 2::2]
+    sums = np.empty((x.size, m + 1))
+    sums[:, 0] = total
+    sums[:, 1:] = terms
+    return terms, np.cumsum(sums, axis=1)[:, 1:]
+
+
+def _first_block(x, tol: float) -> int:
+    """Terms in the first block: where |x|^k alone falls to tol for the
+    largest |x|, at least 8 and at most _SERIES_BLOCK, so that most points
+    stop in it without summing many terms past their own stop."""
+    xm = float(np.max(np.abs(x)))
+    if not (0.0 < tol < 1.0 and 0.0 < xm < 1.0):
+        return _SERIES_BLOCK
+    return min(_SERIES_BLOCK, max(8, math.ceil(math.log(tol) / math.log(xm))))
+
+
 def _series_2f1(a: float, b: float, c: float, x, tol: float, cap: int):
     """Power series for 2F1(a, b; c; x), vectorized over x.
 
-    Terminates exactly when b is a nonpositive integer; otherwise sums until
-    the term drops below tol relative to the partial sum.
+    Terminates exactly when b is a nonpositive integer. Otherwise each point
+    stops on its own: its value is the partial sum through its first term
+    with |term| <= tol * max(|partial sum|, 1), so it does not depend on the
+    other points evaluated with it. Terms are summed in blocks (see
+    _first_block) that double up to _SERIES_BLOCK_MAX terms, on at most
+    _SERIES_ROWS points at a time; points that stopped leave the next block.
     """
     x = np.asarray(x, dtype=float)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    terminating = b <= 0 and float(b).is_integer()
-    kmax = int(-b) if terminating else cap
-    for k in range(kmax):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * x
-        total = total + term
-        if not terminating and np.all(
-            np.abs(term) <= tol * np.maximum(np.abs(total), 1.0)
-        ):
-            return total
-    if not terminating:
-        raise NonConvergence(
-            f"2F1({a},{b};{c}) series did not converge within {cap} terms"
-        )
-    return total
+    flat = x.ravel()
+    if b <= 0 and float(b).is_integer():
+        m = int(-b)
+        if m == 0:
+            return np.ones_like(x)
+        return _series_block(a, b, c, flat, 1.0, 1.0, 0, m)[1][:, -1] \
+            .reshape(x.shape)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _SERIES_ROWS):
+        rows = np.arange(lo, min(lo + _SERIES_ROWS, flat.size))
+        term = total = 1.0
+        k0, m = 0, _first_block(flat[rows], tol)
+        while rows.size:
+            if k0 >= cap:
+                raise NonConvergence(
+                    f"2F1({a},{b};{c}) series did not converge within {cap} "
+                    "terms")
+            m = min(m, cap - k0)
+            terms, sums = _series_block(a, b, c, flat[rows], term, total,
+                                        k0, m)
+            done = np.abs(terms) <= tol * np.maximum(np.abs(sums), 1.0)
+            first = done.argmax(axis=1)
+            stop = done[np.arange(rows.size), first]
+            out[rows[stop]] = sums[stop, first[stop]]
+            rows = rows[~stop]
+            term, total = terms[~stop, -1], sums[~stop, -1]
+            k0 += m
+            m = min(2 * m, _SERIES_BLOCK_MAX)
+    return out.reshape(x.shape)
 
 
 @lru_cache(maxsize=1)
@@ -101,7 +155,9 @@ def _euler_2f1(a: float, b: float, c: float, x):
     base = w * t ** (a - 1.0) * (1.0 - t) ** (c - a - 1.0)
     x = np.asarray(x, dtype=float)
     kern = (1.0 - x[..., None] * t) ** (-b)
-    integral = kern @ base
+    # one dot product per point, summed the same way whatever the batch
+    # (a BLAS matrix-vector product rounds a row differently by batch size)
+    integral = np.einsum("...j,j->...", kern, base)
     pref = math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a))
     return pref * integral
 
@@ -209,14 +265,23 @@ def zonal(l: int, n: int, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def zonal_deriv(l: int, n: int, t):
-    """d/dt Z_l(t), via (C_l^lam)' = 2 lam C_{l-1}^{lam+1}."""
-    if l == 0:
-        t = np.asarray(t, dtype=float)
-        return float(0.0) if t.ndim == 0 else np.zeros_like(t)
+def zonal_deriv_all(lmax: int, n: int, t):
+    """Z_0'(t) .. Z_lmax'(t) stacked along the first axis, via
+    (C_l^lam)' = 2 lam C_{l-1}^{lam+1} from one recurrence for all degrees."""
+    t = np.asarray(t, dtype=float)
     lam = (n - 2.0) / 2.0
-    c = _gegenbauer_all(l - 1, lam + 1.0, t)[l - 1]
-    out = (2.0 * l + n - 2.0) / (n - 2.0) * 2.0 * lam * c
+    out = np.zeros((lmax + 1,) + t.shape)
+    if lmax >= 1:
+        ls = np.arange(1, lmax + 1, dtype=float)
+        scale = (2.0 * ls + n - 2.0) / (n - 2.0) * 2.0 * lam
+        out[1:] = scale.reshape((-1,) + (1,) * t.ndim) \
+            * _gegenbauer_all(lmax - 1, lam + 1.0, t)
+    return out
+
+
+def zonal_deriv(l: int, n: int, t):
+    """d/dt Z_l(t)."""
+    out = zonal_deriv_all(l, n, t)[l]
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -17,6 +17,21 @@ def e1(n):
     return v
 
 
+def polar_cut_bisection(region, r):
+    """Cone cut by 60 bisection steps on the membership sign change."""
+    a = region.alpha
+    lo, hi = -1.0, 1.0
+    if geo._cone_min_quadratic(a, r, hi) >= 0.0:
+        return 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if geo._cone_min_quadratic(a, r, mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestGroup:
     def test_boost_identity(self):
         assert np.allclose(geo.boost(0.0, 3).matrix, np.eye(4))
@@ -163,6 +178,17 @@ class TestCone:
                     [tm - 1e-6, math.sqrt(1 - (tm - 1e-6) ** 2), 0.0]))
                 assert reg.contains(above)
                 assert not reg.contains(below)
+
+    def test_polar_cut_matches_bisection(self):
+        for a in np.linspace(0.1, 0.95, 18):
+            reg = geo.ConeRegion(float(a), e1(3))
+            for r in np.linspace(a, 1.0 - 1e-6, 200):
+                assert abs(geo.cone_polar_cut(reg, float(r))
+                           - polar_cut_bisection(reg, float(r))) <= 1e-15
+        reg = geo.ConeRegion(0.4, e1(3))
+        assert geo.cone_polar_cut(reg, 0.39) == -1.0
+        with pytest.raises(ValueError):
+            geo.cone_polar_cut(reg, 1.0)
 
     def test_quadrature_volume_converges(self):
         reg = geo.ConeRegion(0.5, e1(3))

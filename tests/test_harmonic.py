@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperharm import geometry as geo
 from hyperharm import harmonic as hm
@@ -297,6 +299,37 @@ class TestGradient:
         g2s = hm.gradient_sq(us)
         pts = interior_points(3, m=8, seed=11)
         assert np.allclose(g2z(pts), g2s(pts), atol=1e-9)
+
+
+class TestBatchIndependence:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([3, 4, 5]), seed=st.integers(0, 2 ** 32 - 1),
+           mode=st.sampled_from(["subset", "permutation", "duplicates"]),
+           sph3=st.booleans())
+    def test_values_ignore_the_rest_of_the_batch(self, n, seed, mode, sph3):
+        # radii up to 0.97 send r^2 > 0.9 to the Euler route and the rest
+        # to the series; a few radii are shared, as on a cone grid
+        rng = np.random.default_rng(seed)
+        u = hm.extend(hm.random_zonal(n, 6, rng))
+        if sph3 and n == 3:
+            u = hm.zonal_as_sph3(u)
+        m = 40
+        shared = rng.uniform(0.05, 0.97, 4)
+        r = np.where(rng.random(m) < 0.5, rng.choice(shared, m),
+                     rng.uniform(0.05, 0.97, m))
+        pts = rng.standard_normal((m, n))
+        pts *= (r / np.linalg.norm(pts, axis=1))[:, None]
+        if mode == "subset":
+            idx = np.sort(rng.choice(m, int(rng.integers(1, m)),
+                                     replace=False))
+        elif mode == "permutation":
+            idx = rng.permutation(m)
+        else:
+            idx = rng.choice(m, 2 * m, replace=True)
+        grad2 = hm.gradient_sq(u)
+        assert np.array_equal(u.eval_points(pts[idx]),
+                              u.eval_points(pts)[idx])
+        assert np.array_equal(grad2(pts[idx]), grad2(pts)[idx])
 
 
 class TestRotations:

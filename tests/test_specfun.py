@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyperharm import specfun as sf
+from hyperharm.errors import NonConvergence
 
 
 def series_2f1_oracle(a, b, c, x, terms=200):
@@ -15,6 +16,18 @@ def series_2f1_oracle(a, b, c, x, terms=200):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
         total += term
     return total
+
+
+def series_2f1_loop(a, b, c, x, tol=sf.SERIES_TOL, cap=sf.SERIES_CAP):
+    """The per-term series loop for one point: the partial sum through the
+    first term with |term| <= tol * max(|sum|, 1), and the terms taken."""
+    term = total = 1.0
+    for k in range(cap):
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * x
+        total = total + term
+        if abs(term) <= tol * max(abs(total), 1.0):
+            return total, k + 1
+    raise NonConvergence("oracle did not converge")
 
 
 class TestPochhammer:
@@ -96,6 +109,65 @@ class TestRadialFamily:
         for x, v in zip(xs, vec):
             assert v == pytest.approx(sf.fl_normalized(3, 3, float(x)), rel=1e-12)
 
+    def test_series_stops_per_point(self):
+        # points needing well under 64 terms, about 64 (one block) and
+        # several blocks, summed together and one at a time, must all equal
+        # the per-term loop on that point alone. At (200, -20.5, 221.5) the
+        # terms grow before they fall, so small x needs more terms than
+        # |x|^k alone suggests.
+        xs = np.concatenate([np.linspace(0.0, 0.98, 40),
+                             np.linspace(0.78, 0.8, 9), [0.01, 0.05, 0.98]])
+        terms = []
+        for a, b, c in [(2, -0.5, 3.5), (5.0, 0.5, 7.5), (40.0, -0.5, 41.5),
+                        (200.0, -20.5, 221.5)]:
+            want = [series_2f1_loop(a, b, c, float(x)) for x in xs]
+            terms += [k for _, k in want]
+            batch = sf._series_2f1(a, b, c, xs, sf.SERIES_TOL, sf.SERIES_CAP)
+            assert np.array_equal(batch, [v for v, _ in want])
+            for x, (v, _) in zip(xs, want):
+                one = sf._series_2f1(a, b, c, x, sf.SERIES_TOL, sf.SERIES_CAP)
+                assert one == v
+            rev = sf._series_2f1(a, b, c, xs[::-1], sf.SERIES_TOL,
+                                 sf.SERIES_CAP)
+            assert np.array_equal(rev, batch[::-1])
+        assert min(terms) < 64 and max(terms) > 448
+        assert any(60 <= k <= 68 for k in terms)
+
+    def test_series_many_points(self):
+        # more points than one row chunk of the blocked sum
+        xs = np.random.default_rng(3).uniform(0.0, 0.9, 2500)
+        got = sf._series_2f1(3.0, -1.5, 7.5, xs, sf.SERIES_TOL,
+                             sf.SERIES_CAP)
+        assert np.array_equal(
+            got, [series_2f1_loop(3.0, -1.5, 7.5, float(x))[0] for x in xs])
+
+    def test_series_cap_raises(self):
+        with pytest.raises(NonConvergence):
+            sf._series_2f1(2, -0.5, 3.5, np.array([0.1, 0.9]),
+                           sf.SERIES_TOL, 100)
+        # a cap that the slowest point just meets still converges
+        _, k = series_2f1_loop(2, -0.5, 3.5, 0.9)
+        sf._series_2f1(2, -0.5, 3.5, np.array([0.1, 0.9]), sf.SERIES_TOL, k)
+        with pytest.raises(NonConvergence):
+            sf._series_2f1(2, -0.5, 3.5, np.array([0.1, 0.9]),
+                           sf.SERIES_TOL, k - 1)
+
+    def test_terminating_series_matches_loop(self):
+        xs = np.linspace(0.0, 1.0, 11)
+        for n in (4, 6, 8):
+            b = 1.0 - n / 2.0
+            for order in (0, 1):
+                a, bb, c = 3.0 + order, b + order, 3.0 + n / 2.0 + order
+                got = sf._series_2f1(a, bb, c, xs, sf.SERIES_TOL,
+                                     sf.SERIES_CAP)
+                for x, v in zip(xs, got):
+                    term = total = 1.0
+                    for k in range(int(-bb)):
+                        term = term * ((a + k) * (bb + k)
+                                       / ((c + k) * (k + 1.0))) * x
+                        total = total + term
+                    assert v == total
+
     def test_radial_factor_type(self):
         rf = sf.RadialFactor(2, 5)
         assert rf.value_at_one > 0
@@ -141,6 +213,19 @@ class TestZonal:
         for l, n, t in [(3, 3, 0.2), (5, 4, -0.4), (2, 6, 0.8)]:
             fd = (sf.zonal(l, n, t + h) - sf.zonal(l, n, t - h)) / (2 * h)
             assert sf.zonal_deriv(l, n, t) == pytest.approx(fd, rel=1e-6)
+
+    def test_zonal_deriv_all_rows(self):
+        # each row equals the per-degree C^{lam+1} recurrence bit for bit
+        ts = np.linspace(-1.0, 1.0, 17)
+        for n in (3, 4, 6):
+            lam = (n - 2.0) / 2.0
+            table = sf.zonal_deriv_all(40, n, ts)
+            assert np.array_equal(table[0], np.zeros_like(ts))
+            for l in range(1, 41):
+                c = sf._gegenbauer_all(l - 1, lam + 1.0, ts)[l - 1]
+                want = (2.0 * l + n - 2.0) / (n - 2.0) * 2.0 * lam * c
+                assert np.array_equal(table[l], want)
+                assert np.array_equal(sf.zonal_deriv(l, n, ts), want)
 
     def test_eigenvalue(self):
         assert sf.lap_sigma_eigenvalue(2, 3) == -6.0
