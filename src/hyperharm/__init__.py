@@ -19,7 +19,6 @@ from .functionals import (
     cone_max,
     functional_grid,
     littlewood_paley_g,
-    lp_quasinorm,
     radial_max,
     ray_integral_Il,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "functional_grid",
     "littlewood_paley_g",
     "load_boundary_data",
-    "lp_quasinorm",
     "poisson_euclid",
     "poisson_euclid_rt",
     "poisson_hyp",

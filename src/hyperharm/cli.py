@@ -79,9 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--lmax", type=int, default=None)
     pv.add_argument("--alpha", type=float, action="append", default=None)
     pv.add_argument("--p", type=float, action="append", default=None)
-    pv.add_argument("--grid-degree", type=int, default=None)
-    pv.add_argument("--ladder-depth", type=int, default=None)
-    pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--out", default=None)
     return parser
@@ -93,8 +90,8 @@ def _load_config(path: str | None, **overrides) -> RunConfig:
     if not fields:
         return base
     doc = {f: getattr(base, f) for f in (
-        "n", "lmax", "alphas", "ps", "grid_degree", "ladder_depth", "tol",
-        "seed", "measure_exponent", "g_form", "out_dir")}
+        "n", "lmax", "alphas", "ps", "grid_degree", "ladder_depth", "seed",
+        "g_form", "out_dir")}
     doc.update(fields)
     try:
         return RunConfig(**doc)
@@ -188,9 +185,7 @@ def cmd_verify(args) -> int:
     config = _load_config(
         args.config, n=args.n, lmax=args.lmax,
         alphas=tuple(args.alpha) if args.alpha else None,
-        ps=tuple(args.p) if args.p else None,
-        grid_degree=args.grid_degree, ladder_depth=args.ladder_depth,
-        tol=args.tol, seed=args.seed,
+        ps=tuple(args.p) if args.p else None, seed=args.seed,
         out_dir=args.out)
     names = list(vf.SUITES) if args.suites == ["all"] else args.suites
     unknown = [s for s in names if s not in vf.SUITES]

@@ -19,9 +19,7 @@ class RunConfig:
     ps: tuple = (0.8, 1.0, 1.5)
     grid_degree: int = 48
     ladder_depth: int = 18
-    tol: float = 1e-8
     seed: int = 0
-    measure_exponent: int | None = None  # None means the dimension itself
     g_form: str = "squared"
     out_dir: str = "."
 
@@ -34,8 +32,6 @@ class RunConfig:
             raise ValueError("apertures must lie in (0, 1)")
         if not all(p > 0.0 for p in self.ps):
             raise ValueError("p values must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
         if self.g_form not in _G_FORMS:
             raise ValueError(f"g_form must be one of {_G_FORMS}")
         object.__setattr__(self, "alphas", tuple(float(a)

@@ -3,9 +3,7 @@ with L^p quasi-norms on the sphere.
 
 Functionals are computed per boundary node over a shared FunctionalGrid: a
 boundary quadrature grid, a dyadic radial ladder approaching the boundary,
-and a cone-quadrature resolution for the approach regions. Per-node work is
-independent; HYPERHARM_THREADS caps the worker pool (0 or unset picks a
-sensible default).
+and a cone-quadrature resolution for the approach regions.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,18 +20,6 @@ from . import geometry as geo
 from . import harmonic as hm
 from .errors import QuadratureFailure
 from .geometry import BallPoint, ConeRegion, SphereGrid
-
-
-def thread_count() -> int:
-    """Worker cap from HYPERHARM_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("HYPERHARM_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k <= 0:
-        k = min(4, os.cpu_count() or 1)
-    return max(1, k)
 
 
 @dataclass(frozen=True)
@@ -120,10 +105,6 @@ class FunctionalResult:
         os.replace(tmp, path)
 
 
-def lp_quasinorm(result: FunctionalResult, p: float) -> float:
-    return result.quasinorm(p)
-
-
 # ---------------------------------------------------------------------------
 # evaluator adapters
 
@@ -168,14 +149,6 @@ def _radial_deriv_sq_func(u, n: int, h: float = 1e-5):
     return fd
 
 
-def _parallel_map(fn, items) -> list:
-    k = thread_count()
-    if k == 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # maximal functionals
 
@@ -208,8 +181,8 @@ def cone_max(u, alpha: float, grid: FunctionalGrid) -> FunctionalResult:
         ray = np.abs(_values(u, grid.radii[:, None] * xi[None, :]))
         return max(best, float(np.max(ray)))
 
-    vals = _parallel_map(one, list(nodes))
-    return FunctionalResult("cone-max", grid, np.array(vals))
+    return FunctionalResult("cone-max", grid,
+                            np.array([one(xi) for xi in nodes]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +212,9 @@ def area_integral(u, alpha: float, grid: FunctionalGrid,
     q = _radial_deriv_sq_func(u, n) if radial_only else _grad_sq_func(u, n)
 
     def sweep(spec):
-        def one(xi):
-            return _cone_weighted_integral(q, ConeRegion(alpha, xi), n,
-                                           grid, spec, pole)
-        return np.array(_parallel_map(one, list(nodes)))
+        return np.array([_cone_weighted_integral(q, ConeRegion(alpha, xi), n,
+                                                 grid, spec, pole)
+                         for xi in nodes])
 
     spec = grid.cone
     prev = sweep(spec)

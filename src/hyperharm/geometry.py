@@ -5,15 +5,13 @@ on spheres, balls, and cones."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import roots_chebyt, roots_gegenbauer, roots_legendre
 
 from .errors import DegenerateDenominator, UnsupportedRequest
-
-DEFAULT_MEASURE_EXPONENT = None  # None means "use the dimension n"
 
 
 def sphere_area(d: int) -> float:
@@ -375,6 +373,9 @@ def cone_quadrature(region: ConeRegion, n: int, r_max: float,
     cone cut and 1, angular nodes against the (1-s^2)^{(n-4)/2} reduction.
     Exact only for integrands depending on |x|, <x, xi> and <x, pole>;
     for n = 3 with uniform-azimuth nodes this covers all integrands.
+
+    Nodes are ordered shell, radial, polar, angular. The power factors are
+    taken per scalar with float ** (array power may round differently).
     """
     xi = region.xi
     if pole is None:
@@ -388,25 +389,23 @@ def cone_quadrature(region: ConeRegion, n: int, r_max: float,
     s_nodes, s_w = _angular_weight_rule(n, n_angular)
 
     edges = [0.0] + [1.0 - 0.5 ** (j + 1) for j in range(shells)]
-    edges = [e for e in edges if e < r_max] + [r_max]
+    edges = np.array([e for e in edges if e < r_max] + [r_max])
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
+    r = (lo + half * (gq + 1.0)).ravel()
+    wr = (half * gw).ravel() * np.array([x ** (n - 1) for x in r.tolist()])
+    tmin = np.array([cone_polar_cut(region, x) for x in r.tolist()])
+    keep = tmin < 1.0
+    r, wr, tmin = r[keep], wr[keep], tmin[keep]
 
-    pts, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        for q, wq in zip(gq, gw):
-            r = lo + half * (q + 1.0)
-            wr = half * wq * r ** (n - 1)
-            tmin = cone_polar_cut(region, r)
-            if tmin >= 1.0:
-                continue
-            th = 0.5 * (1.0 - tmin)
-            for qp, wp in zip(pq, pw):
-                t = tmin + th * (qp + 1.0)
-                wt = th * wp * (1.0 - t * t) ** ((n - 3) / 2.0)
-                rt = math.sqrt(max(1.0 - t * t, 0.0))
-                for s, ws in zip(s_nodes, s_w):
-                    sq = math.sqrt(max(1.0 - s * s, 0.0))
-                    d = t * xi + rt * (s * e2 + sq * e3)
-                    pts.append(r * d)
-                    wts.append(wr * wt * ws)
-    return VolumeGrid(np.array(pts), np.array(wts), two_direction=True)
+    th = 0.5 * (1.0 - tmin)[:, None]
+    t = tmin[:, None] + th * (pq + 1.0)
+    wt = th * pw * np.array([(1.0 - x * x) ** ((n - 3) / 2.0)
+                             for x in t.ravel().tolist()]).reshape(t.shape)
+    rt = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    sq = np.sqrt(np.maximum(1.0 - s_nodes * s_nodes, 0.0))
+    ang = s_nodes[:, None] * e2 + sq[:, None] * e3
+    d = t[:, :, None, None] * xi + rt[:, :, None, None] * ang
+    pts = r[:, None, None, None] * d
+    wts = (wr[:, None] * wt)[:, :, None] * s_w
+    return VolumeGrid(pts.reshape(-1, n), wts.ravel(), two_direction=True)

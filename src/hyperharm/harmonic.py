@@ -186,21 +186,6 @@ class Sph3Expansion:
         return len(self.coeffs) - 1
 
 
-def zonal_to_sph3(data: ZonalExpansion) -> Sph3Expansion:
-    """Addition theorem: c_l Z_l(<zeta, xi>) = 4 pi c_l
-    sum_m conj(Y_lm(zeta)) Y_lm(xi)."""
-    if data.n != 3:
-        raise UnsupportedDimension("full coefficient sets exist only for n=3")
-    theta = math.acos(max(-1.0, min(1.0, data.pole[2])))
-    phi = math.atan2(data.pole[1], data.pole[0])
-    out = []
-    for l, c in enumerate(data.coeffs):
-        ms = np.arange(-l, l + 1)
-        Y = sph_harm_y(l, ms, theta, phi)
-        out.append(4.0 * math.pi * c * np.conj(Y))
-    return Sph3Expansion(tuple(out))
-
-
 @dataclass(frozen=True)
 class HarmonicFunction:
     """Finite mode expansion on the ball.
@@ -374,6 +359,16 @@ def project_zonal(func, n: int, lmax: int, degree: int | None = None
     return c / z1
 
 
+def _finite_array(value, name: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataFileError(f"{name} must be numbers") from exc
+    if not np.all(np.isfinite(arr)):
+        raise DataFileError(f"{name} must be finite")
+    return arr
+
+
 def load_boundary_data(source) -> tuple:
     """Parse boundary data from a JSON file path, JSON text, or dict.
 
@@ -397,16 +392,13 @@ def load_boundary_data(source) -> tuple:
             raise DataFileError(f"unreadable boundary data: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFileError("boundary data must be a JSON object")
-    try:
-        n = int(doc["n"])
-        kind = doc["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFileError("boundary data needs integer 'n' and 'kind'") \
-            from exc
+    n, kind = doc.get("n"), doc.get("kind")
+    if not isinstance(n, int) or isinstance(n, bool) or kind is None:
+        raise DataFileError("boundary data needs integer 'n' and 'kind'")
     if n < 3:
         raise DataFileError("dimension must be at least 3")
     seed = doc.get("seed")
-    pole = np.asarray(doc.get("pole", [1.0] + [0.0] * (n - 1)), dtype=float)
+    pole = _finite_array(doc.get("pole", [1.0] + [0.0] * (n - 1)), "pole")
     if pole.shape != (n,):
         raise DataFileError("pole length must match the dimension")
     nrm = float(np.linalg.norm(pole))
@@ -416,12 +408,14 @@ def load_boundary_data(source) -> tuple:
     if kind == "zonal-coeffs":
         if "coeffs" not in doc:
             raise DataFileError("kind zonal-coeffs requires 'coeffs'")
-        return ZonalExpansion(n, pole, np.asarray(doc["coeffs"],
-                                                  dtype=float)), seed
+        coeffs = _finite_array(doc["coeffs"], "coeffs")
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise DataFileError("coeffs must be a nonempty list of numbers")
+        return ZonalExpansion(n, pole, coeffs), seed
     if kind == "zonal-samples":
         if "samples" not in doc:
             raise DataFileError("kind zonal-samples requires 'samples'")
-        samples = np.asarray(doc["samples"], dtype=float)
+        samples = _finite_array(doc["samples"], "samples")
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise DataFileError("samples must be rows of [t, value]")
         order = np.argsort(samples[:, 0])
@@ -447,6 +441,8 @@ def load_boundary_data(source) -> tuple:
         except (TypeError, IndexError, ValueError) as exc:
             raise DataFileError("sph3 coefficients must be rows of complex "
                                 "pairs") from exc
+        if not all(np.all(np.isfinite(row)) for row in packed):
+            raise DataFileError("coeffs must be finite")
         for l, row in enumerate(packed):
             if len(row) != 2 * l + 1:
                 raise DataFileError(f"degree {l} row must have {2*l+1} "

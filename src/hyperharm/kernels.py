@@ -168,9 +168,10 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
     largest term), so double-precision accumulation loses up to half its
     digits.
 
-    With L given, returns the partial sum through degree L; otherwise
-    truncates adaptively once five consecutive terms fall below tail_tol
-    pointwise. Emits TruncationWarning when the cap is hit first.
+    With L given, returns the partial sum through degree L; otherwise each
+    angle stops on its own once five consecutive terms fall below tail_tol,
+    so its value does not depend on the other angles in the call. Emits
+    TruncationWarning when any angle reaches the cap first.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
@@ -190,8 +191,11 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
     x_unique, x_inv = np.unique(x_arr, return_inverse=True)
     x_keys = [float(x) for x in x_unique]
     lmax = cap if L is None else L
-    quiet = 0
-    hit_cap = True
+    # per angle: the last degree whose term was above the tail tolerance,
+    # whether it has stopped, and its sums at its stop
+    loud = np.full(r.shape, -1)
+    stopped = np.zeros(r.shape, dtype=bool)
+    kept, abs_kept = total, abs_total
     for l in range(lmax + 1):
         if l == 1:
             c_prev, c_curr = c_curr, 2 * lam * t
@@ -211,22 +215,27 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
                 den = _Fl_scalar(l, n, float(d2))
             ratio = (num / den)[x_inv].reshape(x_arr.shape)
         term = ratio * rpow * z
-        total = total + term
-        abs_total = abs_total + np.abs(term)
         rpow = rpow * r
+        abs_term = np.abs(term)
+        total = total + term
+        abs_total = abs_total + abs_term
         if L is None:
-            settled = np.abs(term) <= _LD(tail_tol) * (np.abs(total)
-                                                       + _LD(1e-30))
-            if bool(np.all(settled)):
-                quiet += 1
-                if quiet >= 5:
-                    hit_cap = False
+            settled = abs_term <= _LD(tail_tol) * (np.abs(total) + _LD(1e-30))
+            loud = np.where(settled, loud, l)
+            stop = loud == l - 5  # five quiet degrees in a row
+            if stop.any():
+                stop &= ~stopped
+                kept = np.where(stop, total, kept)
+                abs_kept = np.where(stop, abs_total, abs_kept)
+                stopped |= stop
+                if stopped.all():
                     break
-            else:
-                quiet = 0
-    if L is None and hit_cap:
-        warnings.warn("kernel series truncated at the term cap before "
-                      "reaching the tail tolerance", TruncationWarning)
+    if L is None:
+        if not stopped.all():
+            warnings.warn("kernel series truncated at the term cap before "
+                          "reaching the tail tolerance", TruncationWarning)
+        total = np.where(stopped, kept, total)
+        abs_total = np.where(stopped, abs_kept, abs_total)
     out = total.astype(float)
     if L is None and np.isfinite(mp_amplification):
         # where the alternating terms cancelled beyond extended-precision

@@ -10,7 +10,6 @@ sum_l r^l Z_l(t) reproduces the Euclidean Poisson kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -297,50 +296,3 @@ def zonal_at_one(l: int, n: int) -> float:
 def lap_sigma_eigenvalue(l: int, n: int) -> float:
     """Eigenvalue of the tangential Laplacian on degree-l harmonics."""
     return -float(l * (l + n - 2))
-
-
-@dataclass(frozen=True)
-class RadialFactor:
-    """The degree-l radial factor of dimension n, with F_l(1) cached."""
-
-    l: int
-    n: int
-    value_at_one: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "value_at_one", gauss_Fl_at_one(self.l, self.n))
-
-    def __call__(self, x):
-        """f_l(x) = F_l(x) / F_l(1)."""
-        return fl_normalized(self.l, self.n, x)
-
-    def deriv(self, x, order: int = 1):
-        return fl_deriv(self.l, self.n, x, order)
-
-
-@dataclass(frozen=True)
-class ZonalPolynomial:
-    """Degree-l zonal harmonic with its Gegenbauer coefficient table
-    (monomial coefficients in t, ascending)."""
-
-    l: int
-    n: int
-    coeffs: tuple = field(init=False)
-
-    def __post_init__(self):
-        # build monomial coefficients from the recurrence, exactly in floats
-        lam = (self.n - 2.0) / 2.0
-        polys = [np.array([1.0]), np.array([0.0, 2.0 * lam])]
-        for l in range(2, self.l + 1):
-            a = np.zeros(l + 1)
-            a[1:] += 2.0 * (l + lam - 1.0) / l * polys[l - 1]
-            a[: l - 1] -= (l + 2.0 * lam - 2.0) / l * polys[l - 2]
-            polys.append(a)
-        c = polys[self.l] if self.l >= 1 else polys[0]
-        scale = (2.0 * self.l + self.n - 2.0) / (self.n - 2.0)
-        object.__setattr__(self, "coeffs", tuple(scale * c[: self.l + 1]))
-
-    def __call__(self, t):
-        out = np.polynomial.polynomial.polyval(np.asarray(t, dtype=float),
-                                               np.asarray(self.coeffs))
-        return float(out) if np.ndim(t) == 0 else out

@@ -3,6 +3,7 @@ codes, and cross-command consistency."""
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +126,50 @@ class TestExtend:
         assert err
 
 
+class TestBoundaryData:
+    @pytest.mark.parametrize("doc", [
+        '{"kind": "zonal-coeffs", "n": 3, "coeffs": "abc"}',
+        '{"kind": "zonal-coeffs", "n": 3, "coeffs": [[1.0], [1.0, 2.0]]}',
+        '{"kind": "zonal-coeffs", "n": 3, "coeffs": [1.0, NaN]}',
+        '{"kind": "zonal-coeffs", "n": 3.7, "coeffs": [1.0]}',
+        '{"kind": "zonal-coeffs", "n": 3, "coeffs": [1.0], '
+        '"pole": [1.0, Infinity, 0.0]}',
+        '{"kind": "zonal-samples", "n": 3, '
+        '"samples": [[-1.0, 0.5], [1.0, NaN]]}',
+    ], ids=["coeffs-string", "coeffs-ragged", "coeffs-nan", "n-float",
+            "pole-inf", "samples-nan"])
+    def test_malformed_values_exit_3(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "functional", "--kind", "M",
+                                 "--data", str(path),
+                                 "--out", str(tmp_path / "f.csv"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_readme_examples_load(self, capsys, tmp_path):
+        # every boundary-data example in the README runs as printed there
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        block = readme.split("### Boundary data files")[1]
+        block = block.split("```json")[1].split("```")[0]
+        decoder, pos, kinds = json.JSONDecoder(), 0, []
+        while block[pos:].strip():
+            start = pos + len(block[pos:]) - len(block[pos:].lstrip())
+            doc, pos = decoder.raw_decode(block, start)
+            kinds.append(doc["kind"])
+            path = tmp_path / "data.json"
+            path.write_text(block[start:pos])
+            code, out, err = run_cli(capsys, "functional", "--kind", "M",
+                                     "--data", str(path),
+                                     "--out", str(tmp_path / "f.csv"),
+                                     "--grid-degree", "8",
+                                     "--ladder-depth", "4")
+            assert code == 0, err
+        assert kinds == ["zonal-coeffs", "zonal-samples", "sph3-coeffs"]
+
+
 class TestFunctional:
     def test_constant_norm_one(self, capsys, tmp_path):
         data = write_zonal(tmp_path, [1.0])
@@ -215,6 +260,24 @@ class TestVerify:
         doc = json.loads(
             (tmp_path / "r" / "report-operator-identities.txt").read_text())
         assert doc["seed"] == 9
+
+    @pytest.mark.parametrize("flag", [("--tol", "1e-3"),
+                                      ("--grid-degree", "8"),
+                                      ("--ladder-depth", "4")])
+    def test_removed_flags_exit_2(self, capsys, tmp_path, flag):
+        code, _, _ = run_cli(capsys, "verify", "green", *flag,
+                             "--out", str(tmp_path))
+        assert code == 2
+
+    @pytest.mark.parametrize("key", ["tol", "measure_exponent"])
+    def test_removed_config_keys_exit_3(self, capsys, tmp_path, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, key: 1}))
+        code, _, err = run_cli(capsys, "verify", "green",
+                               "--config", str(cfg_path),
+                               "--out", str(tmp_path / "r"))
+        assert code == 3
+        assert "unknown configuration keys" in err
 
     def test_bad_config_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -32,7 +32,6 @@ class TestValidation:
         {"alphas": (0.0,)},
         {"alphas": (1.5,)},
         {"ps": (0.0,)},
-        {"tol": 0.0},
         {"g_form": "other"},
     ])
     def test_rejects(self, kw):

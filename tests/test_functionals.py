@@ -2,7 +2,6 @@
 L^p quasi-norms."""
 
 import csv
-import os
 
 import numpy as np
 import pytest
@@ -201,14 +200,14 @@ class TestQuasinorm:
         g = small_grid(3)
         res = fn.FunctionalResult("test", g, np.ones(len(g.boundary.nodes)))
         for p in (0.8, 1.0, 1.5, 2.0):
-            assert fn.lp_quasinorm(res, p) == pytest.approx(1.0)
+            assert res.quasinorm(p) == pytest.approx(1.0)
 
     def test_p2_rms(self):
         g = small_grid(3)
         vals = np.linspace(0.1, 2.0, len(g.boundary.nodes))
         res = fn.FunctionalResult("test", g, vals)
         want = np.sqrt(g.boundary.weights @ vals ** 2)
-        assert fn.lp_quasinorm(res, 2.0) == pytest.approx(want)
+        assert res.quasinorm(2.0) == pytest.approx(want)
 
     def test_homogeneity(self):
         g = small_grid(4)
@@ -216,8 +215,8 @@ class TestQuasinorm:
         a = fn.FunctionalResult("test", g, vals)
         b = fn.FunctionalResult("test", g, 3.0 * vals)
         for p in (0.8, 1.5):
-            assert fn.lp_quasinorm(b, p) == pytest.approx(
-                3.0 * fn.lp_quasinorm(a, p), rel=1e-12)
+            assert b.quasinorm(p) == pytest.approx(3.0 * a.quasinorm(p),
+                                                   rel=1e-12)
 
     def test_invalid_p(self):
         g = small_grid(3)
@@ -239,12 +238,3 @@ class TestOutput:
         assert len(rows) == len(vals) + 1
         got = np.array([float(r[-1]) for r in rows[1:]])
         assert np.allclose(got, vals)
-
-    def test_threaded_matches_serial(self, monkeypatch):
-        u = sample_u(3, seed=7)
-        g = small_grid(3)
-        monkeypatch.setenv("HYPERHARM_THREADS", "1")
-        a = fn.cone_max(u, 0.5, g)
-        monkeypatch.setenv("HYPERHARM_THREADS", "3")
-        b = fn.cone_max(u, 0.5, g)
-        assert np.array_equal(a.values, b.values)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
+from scipy.special import roots_legendre
 
 from hyperharm import geometry as geo
 from hyperharm import specfun as sf
@@ -30,6 +31,44 @@ def polar_cut_bisection(region, r):
         else:
             lo = mid
     return hi
+
+
+def cone_quadrature_loop(region, n, r_max, pole=None, shells=18, n_radial=4,
+                         n_polar=12, n_angular=12):
+    """The cone grid built node by node: shell x radial x polar x angular."""
+    xi = region.xi
+    if pole is None:
+        pole = xi
+    pole = np.asarray(pole, dtype=float)
+    _, e2, e3 = geo.orthonormal_frame(xi, pole, n=n)
+
+    gq, gw = roots_legendre(n_radial)
+    pq, pw = roots_legendre(n_polar)
+    s_nodes, s_w = geo._angular_weight_rule(n, n_angular)
+
+    edges = [0.0] + [1.0 - 0.5 ** (j + 1) for j in range(shells)]
+    edges = [e for e in edges if e < r_max] + [r_max]
+
+    pts, wts = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        for q, wq in zip(gq, gw):
+            r = lo + half * (q + 1.0)
+            wr = half * wq * r ** (n - 1)
+            tmin = geo.cone_polar_cut(region, r)
+            if tmin >= 1.0:
+                continue
+            th = 0.5 * (1.0 - tmin)
+            for qp, wp in zip(pq, pw):
+                t = tmin + th * (qp + 1.0)
+                wt = th * wp * (1.0 - t * t) ** ((n - 3) / 2.0)
+                rt = math.sqrt(max(1.0 - t * t, 0.0))
+                for s, ws in zip(s_nodes, s_w):
+                    sq = math.sqrt(max(1.0 - s * s, 0.0))
+                    d = t * xi + rt * (s * e2 + sq * e3)
+                    pts.append(r * d)
+                    wts.append(wr * wt * ws)
+    return np.array(pts), np.array(wts)
 
 
 class TestGroup:
@@ -198,6 +237,36 @@ class TestCone:
         cq = geo.cone_quadrature(reg, 3, 0.999, shells=18, n_radial=8,
                                  n_polar=16)
         assert cq.weights.sum() == pytest.approx(dense, rel=1e-3)
+
+    def test_quadrature_matches_loop(self):
+        # (shells, n_radial, n_polar, n_angular, r_max): prop18's cone, then
+        # theorem-a's, hardy-sobolev's and the CLI's, each with its doubling
+        specs = [(10, 3, 8, 8, 0.95)]
+        for base, r_max in (((8, 3, 4, 4), 1 - 2.0 ** -12),
+                            ((8, 3, 6, 6), 1 - 2.0 ** -12),
+                            ((12, 3, 8, 8), 1 - 2.0 ** -18)):
+            sh, nr, npol, nang = base
+            specs += [(sh, nr, npol, nang, r_max),
+                      (sh, nr, 2 * npol, 2 * nang, r_max)]
+        specs.append((6, 4, 5, 3, 0.3))  # r_max below most apertures
+        rng = np.random.default_rng(11)
+        for n in (3, 4, 5, 6):
+            for a, alpha in enumerate((0.1, 0.5, 0.9)):
+                for j, (sh, nr, npol, nang, r_max) in enumerate(specs):
+                    xi = rng.standard_normal(n)
+                    xi /= np.linalg.norm(xi)
+                    # each spec meets each pole: None, xi, -xi, a random one
+                    pole = (None, xi, -xi,
+                            rng.standard_normal(n))[(j + a + n) % 4]
+                    if pole is not None:
+                        pole = pole / np.linalg.norm(pole)
+                    kw = dict(pole=pole, shells=sh, n_radial=nr,
+                              n_polar=npol, n_angular=nang)
+                    reg = geo.ConeRegion(alpha, xi)
+                    got = geo.cone_quadrature(reg, n, r_max, **kw)
+                    pts, wts = cone_quadrature_loop(reg, n, r_max, **kw)
+                    assert np.array_equal(got.points, pts)
+                    assert np.array_equal(got.weights, wts)
 
 
 class TestSphereQuadrature:

@@ -80,6 +80,30 @@ class TestSeries:
                 assert v.min() > 0
                 assert g.integrate(v) == pytest.approx(1.0, abs=1e-7)
 
+    def test_angles_stop_on_their_own(self, monkeypatch):
+        # an angle's value does not depend on the other angles in the call
+        # (the series alone here; the mpmath fallback is checked below)
+        ts = np.linspace(-1.0, 1.0, 11)
+        kw = dict(mp_amplification=np.inf)
+        for n in (3, 4, 5, 6):
+            for delta in (0.0, 0.5, 1.0):
+                for r in (0.3, 0.9):
+                    grid = ker.poisson_hyp_series_rt(n, r, ts, delta, **kw)
+                    alone = [ker.poisson_hyp_series_rt(n, r, t, delta, **kw)
+                             for t in ts]
+                    assert np.array_equal(grid, np.concatenate(alone))
+        # an angle that takes the mpmath fallback, alone and in a batch
+        fallback = []
+        mp_point = ker._series_point_mp
+        monkeypatch.setattr(ker, "_series_point_mp",
+                            lambda *a, **k: fallback.append(a[2])
+                            or mp_point(*a, **k))
+        t = np.array([-0.9957, -0.5, 0.0, 0.7])
+        grid = ker.poisson_hyp_series_rt(6, 0.9, t, 1.0)
+        alone = ker.poisson_hyp_series_rt(6, 0.9, t[:1], 1.0)
+        assert fallback == [-0.9957, -0.9957]
+        assert np.array_equal(grid[:1], alone)
+
     def test_truncation_warning(self):
         with pytest.warns(TruncationWarning):
             ker.poisson_hyp_series_rt(6, 0.95, -0.2, 1.0, cap=10)
