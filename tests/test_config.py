@@ -32,6 +32,7 @@ class TestValidation:
         {"alphas": (0.0,)},
         {"alphas": (1.5,)},
         {"ps": (0.0,)},
+        {"alphas": (0.5, 1.0)},
         {"g_form": "other"},
     ])
     def test_rejects(self, kw):
