@@ -131,6 +131,13 @@ def _sample_points(u: hm.HarmonicFunction, degree: int, depth: int):
     return grid.nodes, radii
 
 
+def _require_finite(values, what: str) -> None:
+    """Refuse a result that overflowed, before anything is written."""
+    if not np.all(np.isfinite(values)):
+        raise DataFileError(f"{what} is not finite; the boundary data is "
+                            f"too large to evaluate")
+
+
 def cmd_extend(args) -> int:
     data, _ = hm.load_boundary_data(args.data)
     u = hm.extend(data, delta=args.delta)
@@ -140,7 +147,10 @@ def cmd_extend(args) -> int:
     w.writerow(["r"] + [f"x{i + 1}" for i in range(u.n)] + ["u"])
     for r in radii:
         pts = r * nodes
-        vals = u.eval_points(pts)
+        # overflow shows as a non-finite value, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = u.eval_points(pts)
+        _require_finite(vals, "the extension")
         for xi, vi in zip(pts, vals):
             w.writerow([f"{r:.17g}"] + [f"{c:.17g}" for c in xi]
                        + [f"{vi:.17g}"])
@@ -162,22 +172,27 @@ def cmd_functional(args) -> int:
     u = hm.extend(data)
     grid = fn.functional_grid(u.n, degree=config.grid_degree,
                               ladder_depth=config.ladder_depth, pole=u.pole)
-    if args.kind == "M":
-        result = fn.radial_max(u, grid)
-    elif args.kind == "Malpha":
-        result = fn.cone_max(u, args.alpha, grid)
-    elif args.kind == "S":
-        result = fn.area_integral(u, args.alpha, grid)
-    elif args.kind == "SN":
-        result = fn.area_integral(u, args.alpha, grid, radial_only=True)
-    elif args.kind == "g":
-        result = fn.littlewood_paley_g(u, grid, form=config.g_form)
-    else:
-        result = fn.littlewood_paley_g(u, grid, radial_only=True,
-                                       form=config.g_form)
+    # overflow shows as a non-finite value, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.kind == "M":
+            result = fn.radial_max(u, grid)
+        elif args.kind == "Malpha":
+            result = fn.cone_max(u, args.alpha, grid)
+        elif args.kind == "S":
+            result = fn.area_integral(u, args.alpha, grid)
+        elif args.kind == "SN":
+            result = fn.area_integral(u, args.alpha, grid, radial_only=True)
+        elif args.kind == "g":
+            result = fn.littlewood_paley_g(u, grid, form=config.g_form)
+        else:
+            result = fn.littlewood_paley_g(u, grid, radial_only=True,
+                                           form=config.g_form)
+        norm = result.quasinorm(args.p)
+    _require_finite(np.append(result.values, norm),
+                    f"the {args.kind} functional")
     result.write_csv(args.out)
     print("norm,p,value")
-    print(f"{args.kind},{args.p:.17g},{result.quasinorm(args.p):.17g}")
+    print(f"{args.kind},{args.p:.17g},{norm:.17g}")
     return EXIT_OK
 
 

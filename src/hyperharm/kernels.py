@@ -52,33 +52,36 @@ _LD = np.longdouble
 
 
 def _Fl_extended(l: int, n: int, x, cap: int = 4000):
-    """F_l(x) in extended precision (x as longdouble scalar or array).
+    """F_l(x) in extended precision, for a longdouble scalar x, or for even n
+    also a longdouble array.
 
     Even n: exact terminating sum. Odd n: plain series (its terms have at
     most one sign change, so no cancellation); accurate for x away from 1.
     """
-    x = np.asarray(x, dtype=_LD)
-    if l == 0:
-        return np.ones_like(x)
     a, b, c = _LD(l), _LD(1) - _LD(n) / 2, _LD(l) + _LD(n) / 2
-    term = np.ones_like(x)
-    total = np.ones_like(x)
+    term = total = _LD(1)
     terminating = n % 2 == 0
-    kmax = n // 2 - 1 if terminating else cap
-    for k in range(kmax):
+    for k in range(n // 2 - 1 if terminating else cap):
         term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * x
         total = total + term
-        if not terminating and np.all(np.abs(term)
-                                      <= _LD(1e-21) * np.abs(total)):
+        if not terminating and abs(term) <= _LD(1e-21) * abs(total):
             break
     return total
 
 
 @lru_cache(maxsize=200000)
 def _Fl_scalar(l: int, n: int, x: float):
-    """Cached scalar F_l(x); the series evaluation reuses these heavily
-    because each call typically has a single distinct argument per degree."""
-    return _Fl_extended(l, n, _LD(x))[()]
+    """Cached F_l(x) for odd n, where each value is a long series and the
+    same few arguments recur in every call."""
+    return _Fl_extended(l, n, _LD(x))
+
+
+def _Fl_at(l: int, n: int, x: np.ndarray) -> np.ndarray:
+    """F_l at the double-precision arguments x, as a longdouble array: one
+    array sum for even n, cached series values for odd n."""
+    if n % 2 == 0:
+        return _Fl_extended(l, n, x.astype(_LD))
+    return np.array([_Fl_scalar(l, n, xk) for xk in x.tolist()], dtype=_LD)
 
 
 @lru_cache(maxsize=None)
@@ -91,24 +94,20 @@ def _Fl1_extended(l: int, n: int):
                                       / (_LD(l - 1) + _LD(n) - 1))
 
 
-def _series_point_mp(n: int, r: float, t: float, delta: float,
-                     cap: int, dps: int = 40) -> float:
-    """Arbitrary-precision evaluation of the kernel series at one point;
-    used where the zonal terms cancel beyond extended-precision reach."""
+@lru_cache(maxsize=20000)
+def _mp_radial_ratio(n: int, l: int, r: float, delta: float, dps: int):
+    """F_l(delta^2 r^2)/F_l(delta^2) in dps-digit arithmetic. It does not
+    depend on the angle, so the points of one radius share it."""
     import mpmath as mp
 
     with mp.workdps(dps):
-        rr, tt, dd = mp.mpf(r), mp.mpf(t), mp.mpf(delta)
-        lam = mp.mpf(n - 2) / 2
-        x = (dd * rr) ** 2
-        x0 = dd ** 2
+        dd = mp.mpf(delta)
+        a, b, c = mp.mpf(l), 1 - mp.mpf(n) / 2, l + mp.mpf(n) / 2
+        tol = mp.mpf(10) ** (-dps - 5)
 
-        def F(l, xx):
+        def F(xx):
             # direct series: terminating for even n, geometric decay at
             # xx < 1 otherwise; much faster here than a general 2F1 routine
-            if l == 0:
-                return mp.mpf(1)
-            a, b, c = mp.mpf(l), 1 - mp.mpf(n) / 2, l + mp.mpf(n) / 2
             if xx == 1:
                 # Gauss summation; the series itself converges too slowly
                 return (mp.gamma(c) * mp.gamma(c - a - b)
@@ -120,10 +119,21 @@ def _series_point_mp(n: int, r: float, t: float, delta: float,
                 term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * xx
                 total += term
                 k += 1
-                if term == 0 or abs(term) <= mp.mpf(10) ** (-dps - 5) \
-                        * abs(total):
+                if term == 0 or abs(term) <= tol * abs(total):
                     return total
 
+        return F((dd * mp.mpf(r)) ** 2) / F(dd ** 2)
+
+
+def _series_point_mp(n: int, r: float, t: float, delta: float,
+                     cap: int, dps: int = 40) -> float:
+    """Arbitrary-precision evaluation of the kernel series at one point;
+    used where the zonal terms cancel beyond extended-precision reach."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        rr, tt = mp.mpf(r), mp.mpf(t)
+        lam = mp.mpf(n - 2) / 2
         c_prev, c_curr = mp.mpf(0), mp.mpf(1)
         total = mp.mpf(0)
         rpow = mp.mpf(1)
@@ -140,7 +150,7 @@ def _series_point_mp(n: int, r: float, t: float, delta: float,
             if delta == 0.0 or l == 0:
                 ratio = mp.mpf(1)
             else:
-                ratio = F(l, x) / F(l, x0)
+                ratio = _mp_radial_ratio(n, l, r, delta, dps)
             term = ratio * rpow * z
             total += term
             rpow *= rr
@@ -162,6 +172,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
     delta = 0 gives the Euclidean kernel, delta = 1 the hyperbolic one. The
     normalization F_l(delta^2) makes each radial factor tend to 1 at the
     boundary, so the series is a genuine Poisson kernel for every delta.
+    r and t broadcast against each other.
 
     Accumulation runs in extended precision: the zonal terms cancel heavily
     where the kernel is small (the sum can be 1e8 times smaller than its
@@ -169,90 +180,90 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
     digits.
 
     With L given, returns the partial sum through degree L; otherwise each
-    angle stops on its own once five consecutive terms fall below tail_tol,
-    so its value does not depend on the other angles in the call. Emits
-    TruncationWarning when any angle reaches the cap first.
+    (r, t) pair stops on its own once five consecutive terms fall below
+    tail_tol, and where its terms cancelled by more than mp_amplification
+    it is redone in arbitrary precision. Each distinct pair is summed once,
+    and a pair's value does not depend on the other pairs in the call.
+    Emits TruncationWarning when any pair reaches the cap first.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     r = np.atleast_1d(np.asarray(r, dtype=_LD))
     t = np.atleast_1d(np.asarray(t, dtype=_LD))
     r, t = np.broadcast_arrays(r, t)
-    lam = (_LD(n) - 2) / 2
-    total = np.zeros_like(r)
-    abs_total = np.zeros_like(r)
-    c_prev = np.zeros_like(t)
-    c_curr = np.ones_like(t)  # C_0
-    rpow = np.ones_like(r)
+    # one sum per distinct (r, t) pair, by exact value; `inv` scatters back
+    r_u, r_code = np.unique(r.ravel(), return_inverse=True)
+    t_u, t_code = np.unique(t.ravel(), return_inverse=True)
+    pairs, inv = np.unique(r_code * t_u.size + t_code, return_inverse=True)
+    r_of, t_of = np.divmod(pairs, t_u.size)
+    total, abs_total = np.zeros((2, pairs.size), dtype=_LD)
     d2 = _LD(delta) ** 2
-    x_arr = d2 * r ** 2
-    # F_l depends on r only; evaluate it once per distinct radius and
-    # scatter, instead of once per (r, t) pair
-    x_unique, x_inv = np.unique(x_arr, return_inverse=True)
-    x_keys = [float(x) for x in x_unique]
+    # F_l depends on r only: its argument per distinct radius, rounded to
+    # double as the F_l cache keys are
+    x_keys = (d2 * r_u ** 2).astype(float)
+    lam = (_LD(n) - 2) / 2
+    # the active set: the pairs still summing, and their running state
+    act, rad = np.arange(pairs.size), r_of
+    ra, ta = r_u[r_of], t_u[t_of]
+    c_prev, c_curr = np.zeros_like(ta), np.ones_like(ta)  # C_0
+    rpow = np.ones_like(ra)
+    run, abs_run = np.zeros((2, pairs.size), dtype=_LD)
+    # per pair: the last degree whose term was above the tail tolerance
+    loud = np.full(pairs.size, -1)
+    live, live_of = np.unique(rad, return_inverse=True)
     lmax = cap if L is None else L
-    # per angle: the last degree whose term was above the tail tolerance,
-    # whether it has stopped, and its sums at its stop
-    loud = np.full(r.shape, -1)
-    stopped = np.zeros(r.shape, dtype=bool)
-    kept, abs_kept = total, abs_total
     for l in range(lmax + 1):
         if l == 1:
-            c_prev, c_curr = c_curr, 2 * lam * t
+            c_prev, c_curr = c_curr, 2 * lam * ta
         elif l >= 2:
-            c_new = (2 * (l + lam - 1) * t * c_curr
+            c_new = (2 * (l + lam - 1) * ta * c_curr
                      - (l + 2 * lam - 2) * c_prev) / _LD(l)
             c_prev, c_curr = c_curr, c_new
         z = (2 * _LD(l) + _LD(n) - 2) / (_LD(n) - 2) * c_curr
         if delta == 0.0 or l == 0:
             ratio = _LD(1)
+        elif delta == 1.0:
+            num = _Fl_at(l, n, x_keys[live])
+            ratio = (num / _Fl1_extended(l, n))[live_of]
         else:
-            num = np.array([_Fl_scalar(l, n, xk) for xk in x_keys],
-                           dtype=_LD)
-            if delta == 1.0:
-                den = _Fl1_extended(l, n)
-            else:
-                den = _Fl_scalar(l, n, float(d2))
-            ratio = (num / den)[x_inv].reshape(x_arr.shape)
+            num = _Fl_at(l, n, np.append(x_keys[live], float(d2)))
+            ratio = (num[:-1] / num[-1])[live_of]
         term = ratio * rpow * z
-        rpow = rpow * r
+        rpow = rpow * ra
         abs_term = np.abs(term)
-        total = total + term
-        abs_total = abs_total + abs_term
+        run = run + term
+        abs_run = abs_run + abs_term
         if L is None:
-            settled = abs_term <= _LD(tail_tol) * (np.abs(total) + _LD(1e-30))
+            settled = abs_term <= _LD(tail_tol) * (np.abs(run) + _LD(1e-30))
             loud = np.where(settled, loud, l)
             stop = loud == l - 5  # five quiet degrees in a row
             if stop.any():
-                stop &= ~stopped
-                kept = np.where(stop, total, kept)
-                abs_kept = np.where(stop, abs_total, abs_kept)
-                stopped |= stop
-                if stopped.all():
+                total[act[stop]] = run[stop]
+                abs_total[act[stop]] = abs_run[stop]
+                go = ~stop
+                act, rad, ra, ta = act[go], rad[go], ra[go], ta[go]
+                c_prev, c_curr, rpow = c_prev[go], c_curr[go], rpow[go]
+                run, abs_run, loud = run[go], abs_run[go], loud[go]
+                if not act.size:
                     break
-    if L is None:
-        if not stopped.all():
+                live, live_of = np.unique(rad, return_inverse=True)
+    if act.size:
+        if L is None:
             warnings.warn("kernel series truncated at the term cap before "
                           "reaching the tail tolerance", TruncationWarning)
-        total = np.where(stopped, kept, total)
-        abs_total = np.where(stopped, abs_kept, abs_total)
+        total[act], abs_total[act] = run, abs_run
     out = total.astype(float)
     if L is None and np.isfinite(mp_amplification):
         # where the alternating terms cancelled beyond extended-precision
-        # reach, redo those points in arbitrary precision
+        # reach, redo those pairs in arbitrary precision
         ampl = abs_total / (np.abs(total) + _LD(1e-300))
-        flagged = np.nonzero(ampl.ravel() > _LD(mp_amplification))[0]
-        if flagged.size:
-            rf = np.broadcast_to(r, out.shape).ravel()
-            tf = np.broadcast_to(t, out.shape).ravel()
-            flat = out.ravel()
-            for i in flagged:
-                # working precision sized to the observed cancellation
-                dps = int(math.log10(float(ampl.ravel()[i]))) + 14
-                flat[i] = _series_point_mp(n, float(rf[i]), float(tf[i]),
-                                           delta, cap, dps=dps)
-            out = flat.reshape(out.shape)
-    return out if out.shape else float(out)
+        for i in np.nonzero(ampl > _LD(mp_amplification))[0]:
+            # working precision sized to the observed cancellation
+            dps = int(math.log10(float(ampl[i]))) + 14
+            out[i] = _series_point_mp(n, float(r_u[r_of[i]]),
+                                      float(t_u[t_of[i]]), delta, cap,
+                                      dps=dps)
+    return out[inv].reshape(r.shape)
 
 
 def poisson_hyp_series(x: BallPoint, xi, delta: float,

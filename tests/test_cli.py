@@ -3,6 +3,7 @@ codes, and cross-command consistency."""
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,25 @@ class TestBoundaryData:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["functional", "extend"])
+    def test_overflowing_data_exit_3(self, capsys, tmp_path, command):
+        # finite coefficients whose extension overflows: one error line, no
+        # numpy warning, no output file
+        data = write_zonal(tmp_path, [1e308, 1e308, 1e308])
+        out_path = tmp_path / "out.csv"
+        argv = [command, "--data", data, "--out", str(out_path),
+                "--grid-degree", "6", "--ladder-depth", "3"]
+        if command == "functional":
+            argv[1:1] = ["--kind", "M"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_readme_examples_load(self, capsys, tmp_path):
         # every boundary-data example in the README runs as printed there

@@ -47,6 +47,176 @@ class TestClosedForms:
             assert np.all(ker.poisson_hyp_rt(n, r, t) > 0)
 
 
+_LD = np.longdouble
+
+
+def fl_extended_loop(l, n, x, cap=4000):
+    """Reference F_l on longdouble arrays, term by term with one np.all per
+    term (the form the library used before its scalar series)."""
+    x = np.asarray(x, dtype=_LD)
+    if l == 0:
+        return np.ones_like(x)
+    a, b, c = _LD(l), _LD(1) - _LD(n) / 2, _LD(l) + _LD(n) / 2
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    terminating = n % 2 == 0
+    kmax = n // 2 - 1 if terminating else cap
+    for k in range(kmax):
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * x
+        total = total + term
+        if not terminating and np.all(np.abs(term)
+                                      <= _LD(1e-21) * np.abs(total)):
+            break
+    return total
+
+
+def series_loop(n, r, t, delta, L=None, tail_tol=ker.SERIES_TAIL_TOL,
+                cap=ker.SERIES_CAP, mp_amplification=3e9):
+    """Reference kernel series: every pair of the broadcast (r, t) arrays
+    summed as given, with no deduplication and no active set."""
+    r = np.atleast_1d(np.asarray(r, dtype=_LD))
+    t = np.atleast_1d(np.asarray(t, dtype=_LD))
+    r, t = np.broadcast_arrays(r, t)
+    lam = (_LD(n) - 2) / 2
+    total = np.zeros_like(r)
+    abs_total = np.zeros_like(r)
+    c_prev = np.zeros_like(t)
+    c_curr = np.ones_like(t)
+    rpow = np.ones_like(r)
+    d2 = _LD(delta) ** 2
+    x_arr = d2 * r ** 2
+    x_unique, x_inv = np.unique(x_arr, return_inverse=True)
+    x_keys = [float(x) for x in x_unique]
+    lmax = cap if L is None else L
+    loud = np.full(r.shape, -1)
+    stopped = np.zeros(r.shape, dtype=bool)
+    kept, abs_kept = total, abs_total
+    for l in range(lmax + 1):
+        if l == 1:
+            c_prev, c_curr = c_curr, 2 * lam * t
+        elif l >= 2:
+            c_new = (2 * (l + lam - 1) * t * c_curr
+                     - (l + 2 * lam - 2) * c_prev) / _LD(l)
+            c_prev, c_curr = c_curr, c_new
+        z = (2 * _LD(l) + _LD(n) - 2) / (_LD(n) - 2) * c_curr
+        if delta == 0.0 or l == 0:
+            ratio = _LD(1)
+        else:
+            num = np.array([ker._Fl_scalar(l, n, xk) for xk in x_keys],
+                           dtype=_LD)
+            if delta == 1.0:
+                den = ker._Fl1_extended(l, n)
+            else:
+                den = ker._Fl_scalar(l, n, float(d2))
+            ratio = (num / den)[x_inv].reshape(x_arr.shape)
+        term = ratio * rpow * z
+        rpow = rpow * r
+        abs_term = np.abs(term)
+        total = total + term
+        abs_total = abs_total + abs_term
+        if L is None:
+            settled = abs_term <= _LD(tail_tol) * (np.abs(total) + _LD(1e-30))
+            loud = np.where(settled, loud, l)
+            stop = (loud == l - 5) & ~stopped
+            kept = np.where(stop, total, kept)
+            abs_kept = np.where(stop, abs_total, abs_kept)
+            stopped |= stop
+            if stopped.all():
+                break
+    if L is None:
+        if not stopped.all():
+            warnings.warn("kernel series truncated at the term cap",
+                          TruncationWarning)
+        total = np.where(stopped, kept, total)
+        abs_total = np.where(stopped, abs_kept, abs_total)
+    out = total.astype(float)
+    if L is None and np.isfinite(mp_amplification):
+        ampl = (abs_total / (np.abs(total) + _LD(1e-300))).ravel()
+        rf, tf, flat = r.ravel(), t.ravel(), out.ravel()
+        for i in np.nonzero(ampl > _LD(mp_amplification))[0]:
+            dps = int(math.log10(float(ampl[i]))) + 14
+            flat[i] = ker._series_point_mp(n, float(rf[i]), float(tf[i]),
+                                           delta, cap, dps=dps)
+    return out
+
+
+def series_point_mp_loop(n, r, t, delta, cap, dps=40):
+    """Reference mpmath point evaluation that recomputes the radial ratio
+    F_l(delta^2 r^2)/F_l(delta^2) at every degree."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        rr, tt, dd = mp.mpf(r), mp.mpf(t), mp.mpf(delta)
+        lam = mp.mpf(n - 2) / 2
+
+        def F(l, xx):
+            a, b, c = mp.mpf(l), 1 - mp.mpf(n) / 2, l + mp.mpf(n) / 2
+            if xx == 1:
+                return (mp.gamma(c) * mp.gamma(c - a - b)
+                        / (mp.gamma(c - a) * mp.gamma(c - b)))
+            term = total = mp.mpf(1)
+            k = 0
+            while True:
+                term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * xx
+                total += term
+                k += 1
+                if term == 0 or abs(term) <= mp.mpf(10) ** (-dps - 5) \
+                        * abs(total):
+                    return total
+
+        c_prev, c_curr = mp.mpf(0), mp.mpf(1)
+        total, rpow = mp.mpf(0), mp.mpf(1)
+        tol = mp.mpf(10) ** (-(dps - 5))
+        quiet = 0
+        for l in range(cap + 1):
+            if l == 1:
+                c_prev, c_curr = c_curr, 2 * lam * tt
+            elif l >= 2:
+                c_new = (2 * (l + lam - 1) * tt * c_curr
+                         - (l + 2 * lam - 2) * c_prev) / l
+                c_prev, c_curr = c_curr, c_new
+            z = mp.mpf(2 * l + n - 2) / (n - 2) * c_curr
+            ratio = (mp.mpf(1) if delta == 0.0 or l == 0
+                     else F(l, (dd * rr) ** 2) / F(l, dd ** 2))
+            term = ratio * rpow * z
+            total += term
+            rpow *= rr
+            if abs(term) <= tol * (abs(total) + tol):
+                quiet += 1
+                if quiet >= 5:
+                    break
+            else:
+                quiet = 0
+        return float(total)
+
+
+def capped(fn, *args, **kw):
+    """fn's value, and whether it warned that the series hit its cap."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kw)
+    return out, any(issubclass(w.category, TruncationWarning)
+                    for w in caught)
+
+
+class TestFlExtended:
+    def test_scalar_matches_loop(self):
+        for n in range(3, 9):
+            for l in (0, 1, 2, 7, 64, 300, 1024):
+                for x in (0.0, 0.1, 0.5, 0.81, 0.95, 0.99):
+                    got = ker._Fl_extended(l, n, _LD(x))
+                    want = fl_extended_loop(l, n, _LD(x))
+                    assert got == want[()], (n, l, x)
+
+    def test_even_n_array_matches_loop(self):
+        x = np.linspace(0.0, 0.99, 37).astype(_LD)
+        for n in (4, 6, 8):
+            for l in (1, 2, 9, 500, 1024):
+                got = ker._Fl_extended(l, n, x)
+                want = [fl_extended_loop(l, n, xk)[()] for xk in x]
+                assert np.array_equal(got, want), (n, l)
+
+
 class TestSeries:
     def test_l0_partial_sum(self):
         assert ker.poisson_hyp_series_rt(3, 0.5, 0.2, 0.7, L=0) == 1.0
@@ -103,6 +273,83 @@ class TestSeries:
         alone = ker.poisson_hyp_series_rt(6, 0.9, t[:1], 1.0)
         assert fallback == [-0.9957, -0.9957]
         assert np.array_equal(grid[:1], alone)
+
+    def test_grids_match_loop(self):
+        # r x t broadcast grids: one sum per distinct pair over an active
+        # set gives the reference loop's values bit for bit
+        r = np.array([0.0, 0.3, 0.6, 0.8, 0.95])[:, None]
+        t = np.concatenate([np.linspace(-1.0, 1.0, 13),
+                            np.random.default_rng(5).uniform(-1, 1, 4)])
+        kw = dict(mp_amplification=np.inf)
+        for n in (3, 4, 5, 6):
+            for delta in (0.0, 0.25, 0.5, 1.0):
+                got, got_cut = capped(ker.poisson_hyp_series_rt,
+                                      n, r, t, delta, **kw)
+                want, want_cut = capped(series_loop, n, r, t, delta, **kw)
+                assert got.shape == want.shape == (5, 17)
+                assert np.array_equal(got, want), (n, delta)
+                assert got_cut == want_cut, (n, delta)
+
+    def test_duplicated_permuted_and_subset_pairs(self):
+        rng = np.random.default_rng(11)
+        base_r = rng.choice([0.2, 0.7, 0.9], 12)
+        base_t = np.concatenate([rng.uniform(-1, 1, 10), [0.0, -0.0]])
+        r = np.concatenate([base_r, base_r[:5], [0.7, 0.7]])
+        t = np.concatenate([base_t, base_t[:5], [0.0, -0.0]])
+        kw = dict(mp_amplification=np.inf)
+        for n, delta in ((3, 0.5), (4, 1.0), (5, 0.25)):
+            full = ker.poisson_hyp_series_rt(n, r, t, delta, **kw)
+            assert np.array_equal(full, series_loop(n, r, t, delta, **kw))
+            perm = rng.permutation(r.size)
+            assert np.array_equal(
+                ker.poisson_hyp_series_rt(n, r[perm], t[perm], delta, **kw),
+                full[perm])
+            sub = perm[:7]
+            assert np.array_equal(
+                ker.poisson_hyp_series_rt(n, r[sub], t[sub], delta, **kw),
+                full[sub])
+
+    def test_partial_sums_match_loop(self):
+        r = np.array([0.0, 0.5, 0.9])[:, None]
+        t = np.linspace(-1.0, 1.0, 9)
+        for n, delta in ((3, 0.5), (4, 0.25), (6, 1.0)):
+            for L in (0, 1, 5, 40):
+                assert np.array_equal(
+                    ker.poisson_hyp_series_rt(n, r, t, delta, L=L),
+                    series_loop(n, r, t, delta, L=L)), (n, delta, L)
+
+    def test_truncated_call_matches_loop(self):
+        t = np.array([-0.2, 0.4, 0.4])
+        with pytest.warns(TruncationWarning):
+            got = ker.poisson_hyp_series_rt(5, 0.95, t, 0.5, cap=10)
+        with pytest.warns(TruncationWarning):
+            want = series_loop(5, 0.95, t, 0.5, cap=10)
+        assert np.array_equal(got, want)
+
+    def test_flagged_angle_repeated_evaluated_once(self, monkeypatch):
+        calls = []
+        mp_point = ker._series_point_mp
+        monkeypatch.setattr(ker, "_series_point_mp",
+                            lambda *a, **k: calls.append(a[2])
+                            or mp_point(*a, **k))
+        t = np.array([-0.9957, 0.3, -0.9957, -0.9957])
+        batch = ker.poisson_hyp_series_rt(6, 0.9, t, 1.0)
+        assert calls == [-0.9957]
+        alone = ker.poisson_hyp_series_rt(6, 0.9, -0.9957, 1.0)
+        assert np.array_equal(batch[[0, 2, 3]], np.repeat(alone, 3))
+        assert np.array_equal(batch, series_loop(6, 0.9, t, 1.0))
+
+    def test_mp_point_matches_loop(self):
+        # the radial ratio shared across angles gives the per-point values
+        # (the second point reuses the first one's ratios)
+        for n, r, t, delta, dps in ((6, 0.9, -0.9957, 1.0, 22),
+                                    (6, 0.9, -0.9, 1.0, 22),
+                                    (6, 0.8, -0.99, 0.5, 21),
+                                    (5, 0.6, -0.5, 0.5, 18),
+                                    (3, 0.7, 0.2, 0.25, 18)):
+            got = ker._series_point_mp(n, r, t, delta, 1024, dps=dps)
+            want = series_point_mp_loop(n, r, t, delta, 1024, dps=dps)
+            assert got == want, (n, r, t, delta)
 
     def test_truncation_warning(self):
         with pytest.warns(TruncationWarning):
