@@ -139,6 +139,8 @@ def _require_finite(values, what: str) -> None:
 
 
 def cmd_extend(args) -> int:
+    if not 0.0 < args.delta <= 1.0:
+        raise UsageError("delta must lie in (0, 1]")
     data, _ = hm.load_boundary_data(args.data)
     u = hm.extend(data, delta=args.delta)
     nodes, radii = _sample_points(u, args.grid_degree, args.ladder_depth)
@@ -164,8 +166,8 @@ def cmd_extend(args) -> int:
 def cmd_functional(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError("aperture must lie in (0, 1)")
-    if args.p <= 0.0:
-        raise UsageError("p must be positive")
+    if not 0.0 < args.p < np.inf:
+        raise UsageError("p must be finite and positive")
     config = _load_config(args.config, grid_degree=args.grid_degree,
                           ladder_depth=args.ladder_depth)
     data, _ = hm.load_boundary_data(args.data)
@@ -207,6 +209,8 @@ def cmd_verify(args) -> int:
     if unknown:
         raise UsageError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"available: {', '.join(vf.SUITES)}, all")
+    # an unusable output directory fails here, before any suite runs
+    os.makedirs(config.out_dir, exist_ok=True)
     reports = [vf.run_suite(name, config) for name in names]
     csv_path = vf.write_reports(reports, config.out_dir)
     print(csv_path)
@@ -236,10 +240,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except HyperharmError as exc:
+    except (HyperharmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

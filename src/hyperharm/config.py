@@ -30,8 +30,8 @@ class RunConfig:
             raise ValueError("degrees and depths must be positive")
         if not all(0.0 < a < 1.0 for a in self.alphas):
             raise ValueError("apertures must lie in (0, 1)")
-        if not all(p > 0.0 for p in self.ps):
-            raise ValueError("p values must be positive")
+        if not all(0.0 < p < float("inf") for p in self.ps):
+            raise ValueError("p values must be finite and positive")
         if self.g_form not in _G_FORMS:
             raise ValueError(f"g_form must be one of {_G_FORMS}")
         object.__setattr__(self, "alphas", tuple(float(a)

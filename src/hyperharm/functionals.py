@@ -1,9 +1,11 @@
 """Maximal, area, and Littlewood-Paley functionals for harmonic extensions,
 with L^p quasi-norms on the sphere.
 
-Functionals are computed per boundary node over a shared FunctionalGrid: a
-boundary quadrature grid, a dyadic radial ladder approaching the boundary,
-and a cone-quadrature resolution for the approach regions.
+Functionals are computed over a shared FunctionalGrid: a boundary grid, a
+dyadic radial ladder approaching the boundary, and a cone-quadrature
+resolution for the approach regions. Each evaluates u once (once per sweep
+of the area integral's refinement) on the points of every boundary node
+together, so a plain callable u must act pointwise.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class FunctionalResult:
             raise ValueError("one value per boundary node required")
 
     def quasinorm(self, p: float) -> float:
-        if p <= 0:
-            raise ValueError("p must be positive")
+        if not 0.0 < p < math.inf:
+            raise ValueError("p must be finite and positive")
         if p not in self._norms:
             w = self.grid.boundary.weights
             # numpy pairwise summation keeps the reduction deterministic
@@ -162,41 +164,35 @@ def radial_max(u, grid: FunctionalGrid) -> FunctionalResult:
     return FunctionalResult("radial-max", grid, vals.max(axis=0))
 
 
+def _cone_grids(alpha: float, grid: FunctionalGrid, spec: ConeSpec) -> list:
+    """The approach-region quadrature of every boundary node."""
+    n = grid.boundary.nodes.shape[1]
+    return [geo.cone_quadrature(ConeRegion(alpha, xi), n, grid.r_max,
+                                pole=grid.boundary.pole, shells=spec.shells,
+                                n_radial=spec.n_radial, n_polar=spec.n_polar,
+                                n_angular=spec.n_angular)
+            for xi in grid.boundary.nodes]
+
+
+def _split(vals: np.ndarray, parts) -> list:
+    """vals cut into consecutive pieces, one per array in parts."""
+    return np.split(vals, np.cumsum([len(p) for p in parts])[:-1])
+
+
 def cone_max(u, alpha: float, grid: FunctionalGrid) -> FunctionalResult:
     """Non-tangential maximal function over the approach region of aperture
     alpha, truncated at the ladder top."""
-    nodes = grid.boundary.nodes
-    spec = grid.cone
-    pole = grid.boundary.pole
-
-    def one(xi):
-        region = ConeRegion(alpha, xi)
-        vg = geo.cone_quadrature(region, len(xi), grid.r_max,
-                                 pole=pole, shells=spec.shells,
-                                 n_radial=spec.n_radial,
-                                 n_polar=spec.n_polar,
-                                 n_angular=spec.n_angular)
-        best = float(np.max(np.abs(_values(u, vg.points))))
-        # the radial ray lies in every approach region; include the ladder
-        ray = np.abs(_values(u, grid.radii[:, None] * xi[None, :]))
-        return max(best, float(np.max(ray)))
-
+    # the radial ray lies in every approach region; include the ladder
+    parts = [np.concatenate([vg.points, grid.radii[:, None] * xi[None, :]])
+             for vg, xi in zip(_cone_grids(alpha, grid, grid.cone),
+                               grid.boundary.nodes)]
+    vals = np.abs(_values(u, np.concatenate(parts)))
     return FunctionalResult("cone-max", grid,
-                            np.array([one(xi) for xi in nodes]))
+                            [float(np.max(v)) for v in _split(vals, parts)])
 
 
 # ---------------------------------------------------------------------------
 # square functionals
-
-
-def _cone_weighted_integral(q, region: ConeRegion, n: int, grid:
-                            FunctionalGrid, spec: ConeSpec, pole) -> float:
-    vg = geo.cone_quadrature(region, n, grid.r_max, pole=pole,
-                             shells=spec.shells, n_radial=spec.n_radial,
-                             n_polar=spec.n_polar, n_angular=spec.n_angular)
-    r2 = np.sum(vg.points ** 2, axis=1)
-    w = (1.0 - r2) ** (-n + 2)
-    return float(vg.weights @ (q(vg.points) * w))
 
 
 def area_integral(u, alpha: float, grid: FunctionalGrid,
@@ -206,15 +202,19 @@ def area_integral(u, alpha: float, grid: FunctionalGrid,
     """Area functional: square root of the cone integral of |grad u|^2 (or
     |Nu|^2 when radial_only) against (1-|x|^2)^(-n+2). The cone resolution is
     refined until the values settle to refine_tol."""
-    nodes = grid.boundary.nodes
-    n = nodes.shape[1]
-    pole = grid.boundary.pole
+    n = grid.boundary.nodes.shape[1]
     q = _radial_deriv_sq_func(u, n) if radial_only else _grad_sq_func(u, n)
 
     def sweep(spec):
-        return np.array([_cone_weighted_integral(q, ConeRegion(alpha, xi), n,
-                                                 grid, spec, pole)
-                         for xi in nodes])
+        vgs = _cone_grids(alpha, grid, spec)
+        pts = [vg.points for vg in vgs]
+        qs = _split(q(np.concatenate(pts)), pts)
+        out = []
+        for vg, qv in zip(vgs, qs):
+            w = (1.0 - np.sum(vg.points ** 2, axis=1)) ** (-n + 2)
+            # a 1-D dot per node; a stacked matrix-vector product rounds apart
+            out.append(float(vg.weights @ (qv * w)))
+        return np.array(out)
 
     spec = grid.cone
     prev = sweep(spec)

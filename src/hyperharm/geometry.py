@@ -339,25 +339,25 @@ def ball_quadrature(n: int, center, radius: float, n_radial: int = 24,
     rhow = 0.5 * radius * rw * rho ** (n - 1)
 
     # sphere directions via the two-direction disk reduction:
-    # w = sin(psi)(cos th, sin th), remainder on +-e3 with half weight
+    # w = sin(psi)(cos th, sin th), remainder on +-e3 with half weight;
+    # ordered psi, theta, sign. Trig and powers are taken per scalar, as
+    # numpy's array versions may round differently.
     pq, pw = roots_legendre(n_psi)
-    psi = 0.25 * math.pi * (pq + 1.0)
+    psi = (0.25 * math.pi * (pq + 1.0)).tolist()
     psw = 0.25 * math.pi * pw
-    th = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    th = (2.0 * math.pi * np.arange(n_theta) / n_theta).tolist()
     thw = 2.0 * math.pi / n_theta
     area_rest = sphere_area(n - 3) if n > 3 else 2.0
-    dirs, dw = [], []
-    for p, wp in zip(psi, psw):
-        s, c = math.sin(p), math.cos(p)
-        ang = wp * thw * s * c ** (n - 3) * area_rest / 2.0
-        for t in th:
-            base = s * (math.cos(t) * e1 + math.sin(t) * e2)
-            dirs.append(base + c * e3)
-            dw.append(ang)
-            dirs.append(base - c * e3)
-            dw.append(ang)
-    dirs = np.array(dirs)
-    dw = np.array(dw)
+    s = np.array([math.sin(p) for p in psi])
+    c = np.array([math.cos(p) for p in psi])
+    ang = psw * thw * s * np.array([math.cos(p) ** (n - 3) for p in psi]) \
+        * area_rest / 2.0
+    circle = (np.array([math.cos(t) for t in th])[:, None] * e1
+              + np.array([math.sin(t) for t in th])[:, None] * e2)
+    base = s[:, None, None] * circle
+    up = c[:, None, None] * e3
+    dirs = np.stack([base + up, base - up], axis=2).reshape(-1, n)
+    dw = np.repeat(ang, 2 * n_theta)
 
     pts = center[None, None, :] + rho[:, None, None] * dirs[None, :, :]
     wts = rhow[:, None] * dw[None, :]

@@ -207,14 +207,34 @@ def suite_green(config: RunConfig) -> SuiteReport:
 # suite: mean value inequality
 
 
-def _ball_lp_mean(vals_fn, a: np.ndarray, radius: float, p: float,
-                  pole) -> float:
-    n = len(a)
-    nrm = np.linalg.norm(a)
-    axis = a / nrm if nrm > 0 else pole
-    vg = geo.ball_quadrature(n, a, radius, n_radial=8, n_psi=6, n_theta=10,
-                             axis1=axis, axis2=pole)
-    return float(vg.integrate(np.abs(vals_fn(vg.points)) ** p)) ** (1.0 / p)
+def _mean_value_ratios(data, points: np.ndarray, eps: float, pole) -> list:
+    """Per point a, the ratios |grad^d N^k u(a)| / ((1-|a|)^(-d-n/p) times
+    the L^p mean of |N^k u| on B(a, 6(1-|a|^2) eps)) in (k, p, d) order, for
+    the (N^k u, |grad N^k u|^2) pairs in data. Each N^k u is evaluated once,
+    on every point's ball grid and the centres together."""
+    n = points.shape[1]
+    r_a = [float(np.linalg.norm(a)) for a in points]
+    grids = [geo.ball_quadrature(n, a, 6.0 * (1.0 - r ** 2) * eps, n_radial=8,
+                                 n_psi=6, n_theta=10, axis2=pole,
+                                 axis1=a / r if r > 0 else pole)
+             for a, r in zip(points, r_a)]
+    ends = np.cumsum([len(vg.weights) for vg in grids])
+    every = np.concatenate([vg.points for vg in grids] + [points])
+    out = [[] for _ in grids]
+    for Nk, g2 in data:
+        vals, grad2 = Nk.eval_points(every), g2(points)
+        ball_abs = np.split(np.abs(vals[:ends[-1]]), ends[:-1])
+        for i, (vg, absv) in enumerate(zip(grids, ball_abs)):
+            lhs = (abs(float(vals[ends[-1] + i])),
+                   math.sqrt(max(float(grad2[i]), 0.0)))
+            for p in (1.0, 2.0):
+                avg = float(vg.integrate(absv ** p)) ** (1.0 / p)
+                if avg < 1e-300:
+                    continue
+                for d in (0, 1):
+                    bound = (1.0 - r_a[i]) ** (-d - n / p) * avg
+                    out[i].append(lhs[d] / bound)
+    return out
 
 
 def suite_mean_value(config: RunConfig) -> SuiteReport:
@@ -228,39 +248,17 @@ def suite_mean_value(config: RunConfig) -> SuiteReport:
     pole = funcs[0].pole
 
     def derivative_data(u):
-        out = []
-        for k in (0, 1, 2):
-            Nk = hm.apply_N(u, k) if k else u
-            out.append((Nk, hm.gradient_sq(Nk)))
-        return out
+        return [(Nk, hm.gradient_sq(Nk))
+                for Nk in (u, hm.apply_N(u), hm.apply_N(u, 2))]
 
-    def ratios_at(data, a, eps):
-        out = []
-        r_a = float(np.linalg.norm(a))
-        rad = 6.0 * (1.0 - r_a ** 2) * eps
-        for Nk, g2 in data:
-            lhs0 = abs(float(Nk.eval_points(a[None])[0]))
-            lhs1 = math.sqrt(max(float(g2(a[None])[0]), 0.0))
-            for p in (1.0, 2.0):
-                avg = _ball_lp_mean(Nk.eval_points, a, rad, p, pole)
-                if avg < 1e-300:
-                    continue
-                for d, lhs in ((0, lhs0), (1, lhs1)):
-                    bound = (1.0 - r_a) ** (-d - n / p) * avg
-                    out.append(lhs / bound)
-        return out
-
+    datas = [derivative_data(u) for u in funcs]
     all_ratios = []
-    data0 = None
-    for u in funcs:
-        data = derivative_data(u)
-        if data0 is None:
-            data0 = data
+    for data in datas:
         pts = rng.standard_normal((10, n))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         pts *= rng.uniform(0.1, 0.95, (10, 1))
-        for a in pts:
-            all_ratios.extend(ratios_at(data, a, eps))
+        for ratios in _mean_value_ratios(data, pts, eps, pole):
+            all_ratios.extend(ratios)
 
     # ladder trend toward the boundary; the regression covers the tail of
     # the ladder, past the interior transient where the gradient-order
@@ -268,20 +266,21 @@ def suite_mean_value(config: RunConfig) -> SuiteReport:
     zeta = rng.standard_normal(n)
     zeta /= np.linalg.norm(zeta)
     ms = np.arange(1, 11)
-    ladder_max = []
-    for m in ms:
-        a = (1.0 - 0.5 ** m) * zeta
-        ladder_max.append(max(ratios_at(data0, a, eps)))
+    ladder = np.array([(1.0 - 0.5 ** m) * zeta for m in ms])
+    ladder_max = [max(ratios) for ratios in
+                  _mean_value_ratios(datas[0], ladder, eps, pole)]
     tail = ms >= 4
     slope = float(np.polyfit(ms[tail] * math.log(2.0),
                              np.log(np.asarray(ladder_max)[tail]), 1)[0])
 
     # refinement: halving epsilon keeps ratios finite
-    half_eps_max = max(ratios_at(data0, 0.5 * zeta, eps / 2.0))
+    half_eps_max = max(_mean_value_ratios(datas[0], (0.5 * zeta)[None],
+                                          eps / 2.0, pole)[0])
 
     # constant data: the ratio is the fixed normalization of the ball mean
     const_u = hm.extend(hm.ZonalExpansion(n, pole, [1.0]))
-    const_ratio = ratios_at(derivative_data(const_u)[:1], 0.4 * zeta, eps)[0]
+    const_ratio = _mean_value_ratios(derivative_data(const_u)[:1],
+                                     (0.4 * zeta)[None], eps, pole)[0][0]
 
     envelope = float(np.max(all_ratios + ladder_max))
     stable = abs(slope) <= 0.1 and np.isfinite(envelope) \

@@ -126,6 +126,42 @@ class TestExtend:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize("delta", ["2", "0", "-0.5", "nan"])
+    def test_delta_out_of_range_exit_2(self, capsys, tmp_path, delta):
+        data = write_zonal(tmp_path, [1.0, 0.5])
+        out_path = tmp_path / "ext.csv"
+        code, out, err = run_cli(capsys, "extend", "--data", data,
+                                 "--out", str(out_path), "--delta", delta)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["functional", "extend"])
+    def test_missing_directory_exit_3(self, capsys, tmp_path, command):
+        data = write_zonal(tmp_path, [1.0, 0.5])
+        argv = [command, "--data", data,
+                "--out", str(tmp_path / "missing" / "x.csv"),
+                "--grid-degree", "6", "--ladder-depth", "3"]
+        if command == "functional":
+            argv[1:1] = ["--kind", "M"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_verify_out_under_file_exit_3(self, capsys, tmp_path):
+        blocker = tmp_path / "plain"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, "verify", "green",
+                                 "--out", str(blocker / "reports"))
+        # refused before the suite runs: no "[green] ..." progress line
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBoundaryData:
     @pytest.mark.parametrize("doc", [
@@ -244,6 +280,18 @@ class TestFunctional:
                              "--out", str(tmp_path / "f.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_non_finite_p_exit_2(self, capsys, tmp_path, p):
+        data = write_zonal(tmp_path, [1.0])
+        out_path = tmp_path / "f.csv"
+        code, out, err = run_cli(capsys, "functional", "--kind", "M",
+                                 "--data", data, "--p", p,
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
 
 class TestVerify:
     def test_single_suite_pass(self, capsys, tmp_path):
@@ -298,6 +346,24 @@ class TestVerify:
                                "--out", str(tmp_path / "r"))
         assert code == 3
         assert "unknown configuration keys" in err
+
+    def test_non_finite_p_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "green", "--p", "inf",
+                                 "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    def test_non_finite_p_config_exit_3(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"ps": [1.0, Infinity]}')
+        code, out, err = run_cli(capsys, "verify", "green",
+                                 "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "r"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_config_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -34,6 +34,8 @@ class TestValidation:
         {"ps": (0.0,)},
         {"alphas": (0.5, 1.0)},
         {"g_form": "other"},
+        {"ps": (float("inf"),)},
+        {"ps": (1.0, float("nan"))},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):

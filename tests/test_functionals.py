@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from hyperharm import functionals as fn
+from hyperharm import geometry as geo
 from hyperharm import harmonic as hm
 from hyperharm import kernels as ker
-from hyperharm.geometry import BallPoint
+from hyperharm.errors import QuadratureFailure
+from hyperharm.geometry import BallPoint, ConeRegion
 
 
 def e_vec(n, i=0):
@@ -33,6 +35,49 @@ def small_grid(n, **kw):
     kw.setdefault("cone", fn.ConeSpec(shells=8, n_radial=3, n_polar=6,
                                       n_angular=6))
     return fn.functional_grid(n, **kw)
+
+
+def _node_cone(alpha, xi, grid, spec):
+    return geo.cone_quadrature(ConeRegion(alpha, xi), len(xi), grid.r_max,
+                               pole=grid.boundary.pole, shells=spec.shells,
+                               n_radial=spec.n_radial, n_polar=spec.n_polar,
+                               n_angular=spec.n_angular)
+
+
+def cone_max_loop(u, alpha, grid):
+    """The non-tangential maximal function, u evaluated node by node."""
+    out = []
+    for xi in grid.boundary.nodes:
+        vg = _node_cone(alpha, xi, grid, grid.cone)
+        best = float(np.max(np.abs(fn._values(u, vg.points))))
+        ray = np.abs(fn._values(u, grid.radii[:, None] * xi[None, :]))
+        out.append(max(best, float(np.max(ray))))
+    return np.array(out)
+
+
+def area_integral_loop(u, alpha, grid, radial_only=False, refine_tol=1e-3,
+                       max_refine=2):
+    """The area functional, each node's cone integral taken on its own."""
+    n = grid.boundary.nodes.shape[1]
+    q = (fn._radial_deriv_sq_func(u, n) if radial_only
+         else fn._grad_sq_func(u, n))
+
+    def one(xi, spec):
+        vg = _node_cone(alpha, xi, grid, spec)
+        r2 = np.sum(vg.points ** 2, axis=1)
+        w = (1.0 - r2) ** (-n + 2)
+        return float(vg.weights @ (q(vg.points) * w))
+
+    spec = grid.cone
+    prev = np.array([one(xi, spec) for xi in grid.boundary.nodes])
+    for _ in range(max_refine):
+        spec = spec.doubled()
+        cur = np.array([one(xi, spec) for xi in grid.boundary.nodes])
+        scale = max(float(np.max(cur)), 1e-300)
+        if float(np.max(np.abs(cur - prev))) <= refine_tol * scale:
+            return np.sqrt(np.maximum(cur, 0.0))
+        prev = cur
+    raise QuadratureFailure("cone integral did not settle under refinement")
 
 
 class TestGrid:
@@ -224,6 +269,13 @@ class TestQuasinorm:
         with pytest.raises(ValueError):
             res.quasinorm(0.0)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan, -np.inf])
+    def test_non_finite_p(self, p):
+        g = small_grid(3)
+        res = fn.FunctionalResult("test", g, np.ones(len(g.boundary.nodes)))
+        with pytest.raises(ValueError):
+            res.quasinorm(p)
+
 
 class TestOutput:
     def test_csv_roundtrip(self, tmp_path):
@@ -238,3 +290,67 @@ class TestOutput:
         assert len(rows) == len(vals) + 1
         got = np.array([float(r[-1]) for r in rows[1:]])
         assert np.allclose(got, vals)
+
+
+class TestBatchedMatchesLoop:
+    """cone_max and area_integral evaluate u once per sweep over every
+    node's points; each value must equal the node-by-node computation."""
+
+    CONE = fn.ConeSpec(shells=5, n_radial=2, n_polar=3, n_angular=3)
+
+    def cases(self):
+        rng = np.random.default_rng(17)
+        for n in (3, 4, 5):
+            off = rng.standard_normal(n)
+            off /= np.linalg.norm(off)
+            u = hm.extend(hm.random_zonal(n, 4, rng, pole=off))
+            # a plain pointwise callable takes the finite-difference path
+            plain = lambda pts, _u=u: _u.eval_points(pts)
+            for pole in (None, off):
+                grid = fn.functional_grid(n, degree=6, ladder_depth=6,
+                                          pole=pole, cone=self.CONE)
+                yield u, grid
+                yield plain, grid
+            # a boundary grid without a pole: each cone frames on its node
+            b = grid.boundary
+            bare = fn.FunctionalGrid(geo.SphereGrid(b.nodes, b.weights),
+                                     grid.radii, self.CONE)
+            yield u, bare
+
+    def test_cone_max(self):
+        for u, grid in self.cases():
+            for alpha in (0.3, 0.7):
+                got = fn.cone_max(u, alpha, grid).values
+                assert np.array_equal(got, cone_max_loop(u, alpha, grid))
+
+    def test_area_integral_settles(self):
+        for u, grid in self.cases():
+            for radial_only in (False, True):
+                kw = dict(radial_only=radial_only, refine_tol=0.5)
+                got = fn.area_integral(u, 0.5, grid, **kw).values
+                want = area_integral_loop(u, 0.5, grid, **kw)
+                assert np.array_equal(got, want)
+
+    def test_area_integral_fails_alike(self):
+        for u, grid in self.cases():
+            for radial_only in (False, True):
+                kw = dict(radial_only=radial_only, refine_tol=1e-14,
+                          max_refine=1)
+                with pytest.raises(QuadratureFailure):
+                    area_integral_loop(u, 0.5, grid, **kw)
+                with pytest.raises(QuadratureFailure):
+                    fn.area_integral(u, 0.5, grid, **kw)
+
+    def test_sph3(self):
+        rng = np.random.default_rng(4)
+        coeffs = [rng.standard_normal(2 * l + 1)
+                  + 1j * rng.standard_normal(2 * l + 1) for l in range(4)]
+        u = hm.extend(hm.Sph3Expansion(coeffs))
+        grid = fn.functional_grid(3, degree=4, ladder_depth=5, full=True,
+                                  cone=self.CONE)
+        assert np.array_equal(fn.cone_max(u, 0.5, grid).values,
+                              cone_max_loop(u, 0.5, grid))
+        for radial_only in (False, True):
+            kw = dict(radial_only=radial_only, refine_tol=0.5)
+            assert np.array_equal(fn.area_integral(u, 0.5, grid, **kw).values,
+                                  area_integral_loop(u, 0.5, grid, **kw))

@@ -71,6 +71,41 @@ def cone_quadrature_loop(region, n, r_max, pole=None, shells=18, n_radial=4,
     return np.array(pts), np.array(wts)
 
 
+def ball_quadrature_loop(n, center, radius, n_radial=24, n_psi=12,
+                         n_theta=24, axis1=None, axis2=None):
+    """The ball grid built direction by direction: psi x theta x sign."""
+    center = np.asarray(center, dtype=float)
+    if axis1 is None:
+        axis1 = np.eye(n)[0]
+    if axis2 is None:
+        axis2 = np.eye(n)[min(1, n - 1)]
+    e1_, e2_, e3_ = geo.orthonormal_frame(axis1, axis2, n=n)
+    rq, rw = roots_legendre(n_radial)
+    rho = 0.5 * radius * (rq + 1.0)
+    rhow = 0.5 * radius * rw * rho ** (n - 1)
+    pq, pw = roots_legendre(n_psi)
+    psi = 0.25 * math.pi * (pq + 1.0)
+    psw = 0.25 * math.pi * pw
+    th = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    thw = 2.0 * math.pi / n_theta
+    area_rest = geo.sphere_area(n - 3) if n > 3 else 2.0
+    dirs, dw = [], []
+    for p, wp in zip(psi, psw):
+        s, c = math.sin(p), math.cos(p)
+        ang = wp * thw * s * c ** (n - 3) * area_rest / 2.0
+        for t in th:
+            base = s * (math.cos(t) * e1_ + math.sin(t) * e2_)
+            dirs.append(base + c * e3_)
+            dw.append(ang)
+            dirs.append(base - c * e3_)
+            dw.append(ang)
+    dirs = np.array(dirs)
+    dw = np.array(dw)
+    pts = center[None, None, :] + rho[:, None, None] * dirs[None, :, :]
+    wts = rhow[:, None] * dw[None, :]
+    return pts.reshape(-1, n), wts.ravel()
+
+
 class TestGroup:
     def test_boost_identity(self):
         assert np.allclose(geo.boost(0.0, 3).matrix, np.eye(4))
@@ -322,3 +357,24 @@ class TestBallQuadrature:
             vals = (bq.points @ a) ** 2
             want = geo.sphere_area(n - 1) / n * R ** (n + 2) / (n + 2)
             assert bq.integrate(vals) == pytest.approx(want, rel=1e-10)
+
+    def test_matches_loop(self):
+        # mean-value's grid and the default one, with default axes, one
+        # random axis, and two random axes (parallel and antiparallel pairs
+        # included)
+        rng = np.random.default_rng(5)
+        for n in (3, 4, 5, 6):
+            a = rng.standard_normal(n)
+            b = rng.standard_normal(n)
+            axes = [(None, None), (a, None), (a, b), (a, a), (a, -a),
+                    (e1(n), b)]
+            for sizes in ((8, 6, 10), (24, 12, 24), (3, 5, 7)):
+                for ax1, ax2 in axes:
+                    c = 0.3 * rng.standard_normal(n)
+                    R = float(rng.uniform(0.01, 0.5))
+                    kw = dict(n_radial=sizes[0], n_psi=sizes[1],
+                              n_theta=sizes[2], axis1=ax1, axis2=ax2)
+                    got = geo.ball_quadrature(n, c, R, **kw)
+                    pts, wts = ball_quadrature_loop(n, c, R, **kw)
+                    assert np.array_equal(got.points, pts)
+                    assert np.array_equal(got.weights, wts)

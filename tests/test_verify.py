@@ -3,15 +3,47 @@ determinism, and the fast suites end to end."""
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
+from hyperharm import geometry as geo
+from hyperharm import harmonic as hm
 from hyperharm import verify as vf
 from hyperharm.config import RunConfig
 
 
 CFG = RunConfig(seed=0)
+
+
+def ball_lp_mean(vals_fn, a, radius, p, pole):
+    """L^p mean of |vals_fn| over one ball, on a grid of its own."""
+    n = len(a)
+    nrm = np.linalg.norm(a)
+    axis = a / nrm if nrm > 0 else pole
+    vg = geo.ball_quadrature(n, a, radius, n_radial=8, n_psi=6, n_theta=10,
+                             axis1=axis, axis2=pole)
+    return float(vg.integrate(np.abs(vals_fn(vg.points)) ** p)) ** (1.0 / p)
+
+
+def mean_value_ratios_at(data, a, eps, pole):
+    """The mean-value ratios at one point, one evaluation per (k, p)."""
+    n = len(a)
+    out = []
+    r_a = float(np.linalg.norm(a))
+    rad = 6.0 * (1.0 - r_a ** 2) * eps
+    for Nk, g2 in data:
+        lhs0 = abs(float(Nk.eval_points(a[None])[0]))
+        lhs1 = math.sqrt(max(float(g2(a[None])[0]), 0.0))
+        for p in (1.0, 2.0):
+            avg = ball_lp_mean(Nk.eval_points, a, rad, p, pole)
+            if avg < 1e-300:
+                continue
+            for d, lhs in ((0, lhs0), (1, lhs1)):
+                bound = (1.0 - r_a) ** (-d - n / p) * avg
+                out.append(lhs / bound)
+    return out
 
 
 class TestReportStructure:
@@ -122,3 +154,32 @@ class TestWriteReports:
         vf.write_reports(self._reports(), str(d2))
         for name in ("report-one.txt", "report-two.txt", "reports.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+class TestMeanValueRatios:
+    def test_batched_matches_per_point(self):
+        # random points, a boundary ladder, the origin, and constant data
+        # (whose N u and N^2 u vanish, so those ball means are skipped)
+        rng = np.random.default_rng(8)
+        for n in (3, 4, 5):
+            pole = np.zeros(n)
+            pole[0] = 1.0
+            u = hm.extend(hm.random_zonal(n, 5, rng))
+            const = hm.extend(hm.ZonalExpansion(n, pole, [1.0]))
+            zeta = rng.standard_normal(n)
+            zeta /= np.linalg.norm(zeta)
+            pts = rng.standard_normal((4, n))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            pts *= rng.uniform(0.1, 0.95, (4, 1))
+            ladder = np.array([(1.0 - 0.5 ** m) * zeta for m in (1, 5, 10)])
+            points = np.concatenate([pts, ladder, np.zeros((1, n))])
+            for f in (u, const):
+                data = [(Nk, hm.gradient_sq(Nk)) for Nk in
+                        (f, hm.apply_N(f), hm.apply_N(f, 2))]
+                for eps in (1.0 / 13.0, 1.0 / 26.0):
+                    got = vf._mean_value_ratios(data, points, eps, pole)
+                    want = [mean_value_ratios_at(data, a, eps, pole)
+                            for a in points]
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w)
