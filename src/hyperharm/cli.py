@@ -12,6 +12,7 @@ import csv
 import io
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from . import harmonic as hm
 from . import kernels as ker
 from . import verify as vf
 from .config import RunConfig
-from .errors import DataFileError, HyperharmError
+from .errors import (DataFileError, HyperharmError, NonConvergence,
+                     TruncationWarning)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -115,7 +117,17 @@ def cmd_kernel(args) -> int:
         delta = 1.0 if args.delta is None else args.delta
         if not 0.0 <= delta <= 1.0:
             raise UsageError("delta must lie in [0, 1]")
-        vals = ker.poisson_hyp_series_rt(args.n, args.r, t, delta)
+        # a series cut at its degree cap is wrong near the boundary (it can
+        # even turn negative), so its rows are refused, not printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            try:
+                vals = ker.poisson_hyp_series_rt(args.n, args.r, t, delta)
+            except TruncationWarning as exc:
+                raise NonConvergence(
+                    f"the kernel series did not converge within "
+                    f"{ker.SERIES_CAP} degrees at r = {args.r:g}; use a "
+                    f"smaller radius") from exc
     out = io.StringIO()
     w = csv.writer(out)
     w.writerow(["t", "value"])

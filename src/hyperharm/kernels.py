@@ -51,47 +51,20 @@ def poisson_hyp(x: BallPoint, xi) -> float:
 _LD = np.longdouble
 
 
-def _Fl_extended(l: int, n: int, x, cap: int = 4000):
-    """F_l(x) in extended precision, for a longdouble scalar x, or for even n
-    also a longdouble array.
-
-    Even n: exact terminating sum. Odd n: plain series (its terms have at
-    most one sign change, so no cancellation); accurate for x away from 1.
-    """
-    a, b, c = _LD(l), _LD(1) - _LD(n) / 2, _LD(l) + _LD(n) / 2
-    term = total = _LD(1)
-    terminating = n % 2 == 0
-    for k in range(n // 2 - 1 if terminating else cap):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * x
-        total = total + term
-        if not terminating and abs(term) <= _LD(1e-21) * abs(total):
-            break
-    return total
+def _Fl_at(l: int, n: int, x) -> np.ndarray:
+    """F_l at the double-precision arguments x, as a longdouble array: the
+    shared 2F1 series in long double, each point stopping once a term falls
+    to 1e-21 of its partial sum (exactly, as a polynomial, for even n)."""
+    return sf._series_2f1(l, 1.0 - n / 2.0, l + n / 2.0,
+                          np.asarray(x, dtype=_LD), 1e-21, sf.SERIES_CAP,
+                          floor=0.0)
 
 
-@lru_cache(maxsize=200000)
+@lru_cache(maxsize=20000)
 def _Fl_scalar(l: int, n: int, x: float):
-    """Cached F_l(x) for odd n, where each value is a long series and the
-    same few arguments recur in every call."""
-    return _Fl_extended(l, n, _LD(x))
-
-
-def _Fl_at(l: int, n: int, x: np.ndarray) -> np.ndarray:
-    """F_l at the double-precision arguments x, as a longdouble array: one
-    array sum for even n, cached series values for odd n."""
-    if n % 2 == 0:
-        return _Fl_extended(l, n, x.astype(_LD))
-    return np.array([_Fl_scalar(l, n, xk) for xk in x.tolist()], dtype=_LD)
-
-
-@lru_cache(maxsize=None)
-def _Fl1_extended(l: int, n: int):
-    """F_l(1) in extended precision via the exact ratio recurrence
-    F_{l+1}(1)/F_l(1) = (l + n/2)/(l + n - 1), F_0(1) = 1."""
-    if l == 0:
-        return _LD(1)
-    return _Fl1_extended(l - 1, n) * ((_LD(l - 1) + _LD(n) / 2)
-                                      / (_LD(l - 1) + _LD(n) - 1))
+    """Cached F_l(x) for one double x: the normaliser F_l(delta^2), which
+    every radius and every call at one delta share."""
+    return _Fl_at(l, n, [x])[0]
 
 
 @lru_cache(maxsize=20000)
@@ -164,7 +137,6 @@ def _series_point_mp(n: int, r: float, t: float, delta: float,
 
 
 def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
-                          tail_tol: float = SERIES_TAIL_TOL,
                           cap: int = SERIES_CAP,
                           mp_amplification: float = 3e9):
     """Series evaluation sum_l [F_l(delta^2 r^2)/F_l(delta^2)] r^l Z_l(t).
@@ -181,9 +153,10 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
 
     With L given, returns the partial sum through degree L; otherwise each
     (r, t) pair stops on its own once five consecutive terms fall below
-    tail_tol, and where its terms cancelled by more than mp_amplification
-    it is redone in arbitrary precision. Each distinct pair is summed once,
-    and a pair's value does not depend on the other pairs in the call.
+    SERIES_TAIL_TOL, and where its terms cancelled by more than
+    mp_amplification it is redone in arbitrary precision. Each distinct pair
+    is summed once, and a pair's value does not depend on the other pairs in
+    the call.
     Emits TruncationWarning when any pair reaches the cap first.
     """
     if not 0.0 <= delta <= 1.0:
@@ -198,8 +171,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
     r_of, t_of = np.divmod(pairs, t_u.size)
     total, abs_total = np.zeros((2, pairs.size), dtype=_LD)
     d2 = _LD(delta) ** 2
-    # F_l depends on r only: its argument per distinct radius, rounded to
-    # double as the F_l cache keys are
+    # F_l depends on r only: its argument per distinct radius, as a double
     x_keys = (d2 * r_u ** 2).astype(float)
     lam = (_LD(n) - 2) / 2
     # the active set: the pairs still summing, and their running state
@@ -211,6 +183,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
     # per pair: the last degree whose term was above the tail tolerance
     loud = np.full(pairs.size, -1)
     live, live_of = np.unique(rad, return_inverse=True)
+    fl1 = _LD(1)  # F_0(1)
     lmax = cap if L is None else L
     for l in range(lmax + 1):
         if l == 1:
@@ -223,18 +196,20 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
         if delta == 0.0 or l == 0:
             ratio = _LD(1)
         elif delta == 1.0:
-            num = _Fl_at(l, n, x_keys[live])
-            ratio = (num / _Fl1_extended(l, n))[live_of]
+            # F_l(1) by the exact ratio F_l(1)/F_{l-1}(1) = (l-1+n/2)/(l+n-2)
+            fl1 = fl1 * (_LD(l - 1 + n / 2) / _LD(l + n - 2))
+            ratio = (_Fl_at(l, n, x_keys[live]) / fl1)[live_of]
         else:
-            num = _Fl_at(l, n, np.append(x_keys[live], float(d2)))
-            ratio = (num[:-1] / num[-1])[live_of]
+            num = _Fl_at(l, n, x_keys[live])
+            ratio = (num / _Fl_scalar(l, n, float(d2)))[live_of]
         term = ratio * rpow * z
         rpow = rpow * ra
         abs_term = np.abs(term)
         run = run + term
         abs_run = abs_run + abs_term
         if L is None:
-            settled = abs_term <= _LD(tail_tol) * (np.abs(run) + _LD(1e-30))
+            settled = (abs_term
+                       <= _LD(SERIES_TAIL_TOL) * (np.abs(run) + _LD(1e-30)))
             loud = np.where(settled, loud, l)
             stop = loud == l - 5  # five quiet degrees in a row
             if stop.any():

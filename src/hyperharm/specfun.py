@@ -26,7 +26,7 @@ _SERIES_X_MAX = 0.9
 
 # Block sizes of the series (terms in the first block at most, terms per
 # block at most) and the points summed together; they bound its work arrays
-# to about 16 MB.
+# to about 16 MB in double and 32 MB in long double.
 _SERIES_BLOCK = 64
 _SERIES_BLOCK_MAX = 1024
 _SERIES_ROWS = 1024
@@ -64,13 +64,13 @@ def _series_block(a: float, b: float, c: float, x, term, total, k0: int,
     Each row repeats the recurrence term * ratio_k * x multiplication for
     multiplication, as a running product over (term, ratio_k0, x,
     ratio_k0+1, x, ...), and adds the terms in order by a running sum."""
-    k = np.arange(k0, k0 + m, dtype=float)
-    seq = np.empty((x.size, 2 * m + 1))
+    k = np.arange(k0, k0 + m, dtype=x.dtype)
+    seq = np.empty((x.size, 2 * m + 1), dtype=x.dtype)
     seq[:, 0] = term
     seq[:, 1::2] = (a + k) * (b + k) / ((c + k) * (k + 1.0))
     seq[:, 2::2] = x[:, None]
     terms = np.cumprod(seq, axis=1)[:, 2::2]
-    sums = np.empty((x.size, m + 1))
+    sums = np.empty((x.size, m + 1), dtype=x.dtype)
     sums[:, 0] = total
     sums[:, 1:] = terms
     return terms, np.cumsum(sums, axis=1)[:, 1:]
@@ -86,24 +86,31 @@ def _first_block(x, tol: float) -> int:
     return min(_SERIES_BLOCK, max(8, math.ceil(math.log(tol) / math.log(xm))))
 
 
-def _series_2f1(a: float, b: float, c: float, x, tol: float, cap: int):
-    """Power series for 2F1(a, b; c; x), vectorized over x.
+def _series_2f1(a: float, b: float, c: float, x, tol: float, cap: int,
+                floor: float = 1.0):
+    """Power series for 2F1(a, b; c; x), vectorized over x, in the precision
+    of x (double, or long double for a long-double x).
 
-    Terminates exactly when b is a nonpositive integer. Otherwise each point
-    stops on its own: its value is the partial sum through its first term
-    with |term| <= tol * max(|partial sum|, 1), so it does not depend on the
-    other points evaluated with it. Terms are summed in blocks (see
+    Terminates exactly when b is a nonpositive integer, summed term by term.
+    Otherwise each point stops on its own: its value is the partial sum
+    through its first term with |term| <= tol * max(|partial sum|, floor),
+    so it does not depend on the other points evaluated with it; floor 0
+    makes the stop purely relative. Terms are summed in blocks (see
     _first_block) that double up to _SERIES_BLOCK_MAX terms, on at most
     _SERIES_ROWS points at a time; points that stopped leave the next block.
+    Raises NonConvergence when a point has not stopped within cap terms.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, float), copy=False)
     flat = x.ravel()
     if b <= 0 and float(b).is_integer():
-        m = int(-b)
-        if m == 0:
-            return np.ones_like(x)
-        return _series_block(a, b, c, flat, 1.0, 1.0, 0, m)[1][:, -1] \
-            .reshape(x.shape)
+        m, real = int(-b), x.dtype.type
+        a, b, c = real(a), real(b), real(c)
+        term, total = 1, np.ones(flat.size, x.dtype)
+        for k in range(m):
+            term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * flat
+            total = total + term
+        return total.reshape(x.shape)
     out = np.empty_like(flat)
     for lo in range(0, flat.size, _SERIES_ROWS):
         rows = np.arange(lo, min(lo + _SERIES_ROWS, flat.size))
@@ -117,7 +124,7 @@ def _series_2f1(a: float, b: float, c: float, x, tol: float, cap: int):
             m = min(m, cap - k0)
             terms, sums = _series_block(a, b, c, flat[rows], term, total,
                                         k0, m)
-            done = np.abs(terms) <= tol * np.maximum(np.abs(sums), 1.0)
+            done = np.abs(terms) <= tol * np.maximum(np.abs(sums), floor)
             first = done.argmax(axis=1)
             stop = done[np.arange(rows.size), first]
             out[rows[stop]] = sums[stop, first[stop]]

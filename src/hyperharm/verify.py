@@ -104,7 +104,7 @@ def suite_kernel_consistency(config: RunConfig) -> SuiteReport:
         t = grid.nodes @ grid.pole
         for delta in (0.0, 0.5, 1.0):
             for r in (0.3, 0.6, 0.9):
-                v = ker.poisson_hyp_series_rt(n, r, t, delta, cap=1024,
+                v = ker.poisson_hyp_series_rt(n, r, t, delta,
                                               mp_amplification=np.inf)
                 mass_err = max(mass_err, abs(grid.integrate(v) - 1.0))
     center_ok = (ker.poisson_hyp_rt(3, 0.0, 0.5) == 1.0
@@ -413,7 +413,7 @@ def _kernel_ratio_max(n: int, deltas, r_grid, t_grid) -> float:
     e = ker.poisson_euclid_rt(n, r, t_grid)
     worst = 0.0
     for delta in deltas:
-        v = ker.poisson_hyp_series_rt(n, r, t_grid, delta, cap=1024,
+        v = ker.poisson_hyp_series_rt(n, r, t_grid, delta,
                                       mp_amplification=np.inf)
         worst = max(worst, float(np.max(v / e)))
     return worst
@@ -461,7 +461,7 @@ def suite_prop18(config: RunConfig) -> SuiteReport:
     weight = np.array([(1 - ri ** 2) ** (n - 1) for ri in r_u])[r_inv]
     best = np.full(len(alphas), np.inf)
     for delta in deltas:
-        vals = ker.poisson_hyp_series_rt(n, radii, angles, delta, cap=1024,
+        vals = ker.poisson_hyp_series_rt(n, radii, angles, delta,
                                          mp_amplification=np.inf)
         np.minimum.at(best, cone_of, vals * weight)
     lower = dict(zip(alphas, best.tolist()))

@@ -1,0 +1,82 @@
+"""The benchmark's tracing hooks (perfbench/tracing.py) against the library:
+every hooked attribute still resolves to a callable, the F_l cache still
+reports its hits, and a traced call gives a finite number for every
+per-layer metric that BENCHMARK.json names. A hook that no longer resolves
+makes its metrics null, which the benchmark's result line cannot carry."""
+
+import importlib
+import importlib.util
+import json
+import math
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = _load_tracing()
+
+
+def _package():
+    names = ("cli", "verify", "functionals", "harmonic", "geometry",
+             "kernels", "specfun")
+    return types.SimpleNamespace(**{
+        name: importlib.import_module(f"hyperharm.{name}") for name in names})
+
+
+@pytest.mark.parametrize("module,path",
+                         [(module, path) for _, module, path, _ in
+                          tracing.HOOKS])
+def test_hook_resolves_to_callable(module, path):
+    owner = importlib.import_module(f"hyperharm.{module}")
+    *head, last = path.split(".")
+    for part in head:
+        owner = getattr(owner, part)
+    fn = owner.__dict__[last] if isinstance(owner, type) \
+        else getattr(owner, last)
+    assert callable(fn)
+
+
+def test_fl_cache_info():
+    from hyperharm import kernels as ker
+
+    before = ker._Fl_scalar.cache_info()
+    ker._Fl_scalar(3, 5, 0.25)
+    ker._Fl_scalar(3, 5, 0.25)
+    after = ker._Fl_scalar.cache_info()
+    assert after.hits >= before.hits + 1
+
+
+def test_traced_call_gives_every_layer_metric():
+    hh = _package()
+    tracer = tracing.Tracer()
+    cache0 = hh.kernels._Fl_scalar.cache_info()
+    hooks = tracing.Hooks(hh, tracer)
+    try:
+        hh.kernels.poisson_hyp_series_rt(3, 0.5, np.linspace(-1, 1, 5), 0.5)
+    finally:
+        hooks.close()
+    cache1 = hh.kernels._Fl_scalar.cache_info()
+    assert hooks.missing == {}
+    layer = tracing.layer_values(tracer, hooks, cache0, cache1)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # trace.overhead_s is the traced pass's wall time minus the untraced
+    # one's, added by run.py
+    for metric in spec["per_layer"]:
+        if metric["name"] == "trace.overhead_s":
+            continue
+        value = layer[metric["name"]]["value"]
+        assert isinstance(value, (int, float)), metric["name"]
+        assert math.isfinite(value), metric["name"]
+    assert layer["kernels.poisson_hyp_series_rt.calls"]["value"] == 1

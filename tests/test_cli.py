@@ -72,6 +72,26 @@ class TestKernel:
                              "--n", "3", "--r", "1.0")
         assert code == 2
 
+    @pytest.mark.parametrize("r", ["0.97", "0.99"])
+    def test_truncated_series_exit_3(self, capsys, r):
+        # past the radius the degree cap reaches, the cut series is wrong
+        # (negative at r = 0.99): one error line and no rows, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "kernel", "--kind", "hyp-delta",
+                                     "--n", "3", "--r", r, "--delta", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_series_below_radius_limit(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "kernel", "--kind", "hyp-delta",
+                                   "--n", "3", "--r", "0.94", "--delta", "1")
+        assert code == 0
+        assert len(parse_csv(out)) == 202
+
     def test_bad_flag_usage_exit(self, capsys):
         code, _, _ = run_cli(capsys, "kernel", "--kind", "nope",
                              "--n", "3", "--r", "0.5")

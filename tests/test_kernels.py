@@ -3,6 +3,7 @@ radial transfer identity."""
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from hyperharm import geometry as geo
 from hyperharm import kernels as ker
 from hyperharm import specfun as sf
-from hyperharm.errors import TruncationWarning, UnsupportedDimension
+from hyperharm.errors import (NonConvergence, TruncationWarning,
+                              UnsupportedDimension)
 from hyperharm.geometry import BallPoint
 
 
@@ -74,6 +76,16 @@ def series_loop(n, r, t, delta, L=None, tail_tol=ker.SERIES_TAIL_TOL,
                 cap=ker.SERIES_CAP, mp_amplification=3e9):
     """Reference kernel series: every pair of the broadcast (r, t) arrays
     summed as given, with no deduplication and no active set."""
+
+    @lru_cache(maxsize=None)
+    def fl1_extended(l):
+        # F_l(1) by the exact ratio recurrence
+        # F_{l+1}(1)/F_l(1) = (l + n/2)/(l + n - 1), F_0(1) = 1
+        if l == 0:
+            return _LD(1)
+        return fl1_extended(l - 1) * ((_LD(l - 1) + _LD(n) / 2)
+                                      / (_LD(l - 1) + _LD(n) - 1))
+
     r = np.atleast_1d(np.asarray(r, dtype=_LD))
     t = np.atleast_1d(np.asarray(t, dtype=_LD))
     r, t = np.broadcast_arrays(r, t)
@@ -102,10 +114,10 @@ def series_loop(n, r, t, delta, L=None, tail_tol=ker.SERIES_TAIL_TOL,
         if delta == 0.0 or l == 0:
             ratio = _LD(1)
         else:
-            num = np.array([ker._Fl_scalar(l, n, xk) for xk in x_keys],
+            num = np.array([ker._Fl_at(l, n, [xk])[0] for xk in x_keys],
                            dtype=_LD)
             if delta == 1.0:
-                den = ker._Fl1_extended(l, n)
+                den = fl1_extended(l)
             else:
                 den = ker._Fl_scalar(l, n, float(d2))
             ratio = (num / den)[x_inv].reshape(x_arr.shape)
@@ -204,17 +216,33 @@ class TestFlExtended:
         for n in range(3, 9):
             for l in (0, 1, 2, 7, 64, 300, 1024):
                 for x in (0.0, 0.1, 0.5, 0.81, 0.95, 0.99):
-                    got = ker._Fl_extended(l, n, _LD(x))
+                    got = ker._Fl_at(l, n, [x])
                     want = fl_extended_loop(l, n, _LD(x))
-                    assert got == want[()], (n, l, x)
+                    assert got.dtype == _LD
+                    assert got[0] == want[()], (n, l, x)
+                    assert ker._Fl_scalar(l, n, x) == got[0], (n, l, x)
 
-    def test_even_n_array_matches_loop(self):
-        x = np.linspace(0.0, 0.99, 37).astype(_LD)
-        for n in (4, 6, 8):
+    @staticmethod
+    def check_array(ns):
+        # the loop oracle stops on all points at once, so one point per call
+        x = np.linspace(0.0, 0.99, 37)
+        for n in ns:
             for l in (1, 2, 9, 500, 1024):
-                got = ker._Fl_extended(l, n, x)
+                got = ker._Fl_at(l, n, x)
                 want = [fl_extended_loop(l, n, xk)[()] for xk in x]
                 assert np.array_equal(got, want), (n, l)
+
+    def test_even_n_array_matches_loop(self):
+        self.check_array((4, 6, 8))
+
+    def test_odd_n_array_matches_loop(self):
+        self.check_array((3, 5, 7))
+
+    def test_series_cap_raises(self):
+        # near x = 1 the odd-n series needs millions of terms; it refuses at
+        # its cap instead of returning a partial sum
+        with pytest.raises(NonConvergence):
+            ker._Fl_at(5, 3, [0.5, 0.99999])
 
 
 class TestSeries:
