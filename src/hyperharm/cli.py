@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import sys
@@ -91,12 +92,8 @@ def _load_config(path: str | None, **overrides) -> RunConfig:
     fields = {k: v for k, v in overrides.items() if v is not None}
     if not fields:
         return base
-    doc = {f: getattr(base, f) for f in (
-        "n", "lmax", "alphas", "ps", "grid_degree", "ladder_depth", "seed",
-        "g_form", "out_dir")}
-    doc.update(fields)
     try:
-        return RunConfig(**doc)
+        return dataclasses.replace(base, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -153,9 +150,11 @@ def _require_finite(values, what: str) -> None:
 def cmd_extend(args) -> int:
     if not 0.0 < args.delta <= 1.0:
         raise UsageError("delta must lie in (0, 1]")
+    config = _load_config(None, grid_degree=args.grid_degree,
+                          ladder_depth=args.ladder_depth)
     data, _ = hm.load_boundary_data(args.data)
     u = hm.extend(data, delta=args.delta)
-    nodes, radii = _sample_points(u, args.grid_degree, args.ladder_depth)
+    nodes, radii = _sample_points(u, config.grid_degree, config.ladder_depth)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["r"] + [f"x{i + 1}" for i in range(u.n)] + ["u"])

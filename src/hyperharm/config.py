@@ -24,10 +24,20 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for name in ("n", "lmax", "grid_degree", "ladder_depth", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not isinstance(self.out_dir, str):
+            raise ValueError("out_dir must be a string")
         if self.n < 3:
             raise ValueError("dimension must be at least 3")
         if self.lmax < 0 or self.ladder_depth < 1 or self.grid_degree < 2:
             raise ValueError("degrees and depths must be positive")
+        if not self.alphas or not self.ps:
+            raise ValueError("alphas and ps must be nonempty")
         if not all(0.0 < a < 1.0 for a in self.alphas):
             raise ValueError("apertures must lie in (0, 1)")
         if not all(0.0 < p < float("inf") for p in self.ps):

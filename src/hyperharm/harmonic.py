@@ -98,17 +98,8 @@ class RadialPart:
         return self._with([_P.polymul(p, coeffs) for p in self.polys])
 
     def apply_N(self) -> "RadialPart":
-        """N = r d/dr: bucket i receives r p_i' and feeds 2 delta^2 r^2 p_i
-        into bucket i+1 (chain rule through the hypergeometric argument)."""
-        m = len(self.polys)
-        out = [np.zeros(1) for _ in range(m + 1)]
-        shift = 2.0 * self.delta ** 2
-        for i, p in enumerate(self.polys):
-            rp = _P.polymul(_P.polyder(p), [0.0, 1.0])  # r p'
-            out[i] = _P.polyadd(out[i], rp)
-            out[i + 1] = _P.polyadd(out[i + 1],
-                                    _P.polymul(p, [0.0, 0.0, shift]))
-        return self._with(out)
+        """N = r d/dr; multiplying by r shifts the coefficients exactly."""
+        return self.diff_r().mul_poly([0.0, 1.0])
 
     def diff_r(self) -> "RadialPart":
         """d/dr: bucket i receives p_i' and feeds 2 delta^2 r p_i up."""
@@ -186,6 +177,20 @@ class Sph3Expansion:
         return len(self.coeffs) - 1
 
 
+def _radius_cosine(pts, pole):
+    """Radius r and cosine t to the pole of Cartesian points (m x n), t
+    clipped to [-1, 1] and set to 1 at r = 0, where r^l kills every l > 0
+    mode."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    r = np.linalg.norm(pts, axis=1)
+    safe = np.where(r > 0, r, 1.0)
+    # einsum, not @: a BLAS matrix-vector product rounds a row differently
+    # by batch size
+    t = np.einsum("ij,j->i", pts, pole) / safe
+    t[r == 0] = 1.0
+    return r, np.clip(t, -1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class HarmonicFunction:
     """Finite mode expansion on the ball.
@@ -219,16 +224,11 @@ class HarmonicFunction:
 
     def eval_points(self, pts):
         """Value at an array of Cartesian interior points (m x n)."""
+        if self.kind == "zonal":
+            return self.eval_rt(*_radius_cosine(pts, self.pole))
+        # sph3
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
-        if self.kind == "zonal":
-            safe = np.where(r > 0, r, 1.0)
-            # einsum, not @: a BLAS matrix-vector product rounds a row
-            # differently by batch size
-            t = np.einsum("ij,j->i", pts, self.pole) / safe
-            t[r == 0] = 1.0  # r^l kills l>0 modes; Z_l value irrelevant
-            return self.eval_rt(r, np.clip(t, -1.0, 1.0))
-        # sph3
         safe = np.where(r > 0, r, 1.0)
         theta = np.arccos(np.clip(pts[:, 2] / safe, -1.0, 1.0))
         phi = np.arctan2(pts[:, 1], pts[:, 0])
@@ -295,7 +295,7 @@ class HarmonicFunction:
 # extension and data ingestion
 
 
-def extend(boundary, pole=None, delta: float = 1.0) -> HarmonicFunction:
+def extend(boundary, delta: float = 1.0) -> HarmonicFunction:
     """Harmonic extension: boundary sum c_l Z_l becomes
     sum c_l f_l(r^2) r^l Z_l (exact for finite expansions). delta < 1 builds
     the dilated extension directly (see dilate)."""
@@ -523,12 +523,7 @@ def gradient_sq(u: HarmonicFunction):
         tang = tuple((l, rad.div_r()) for l, rad in u.modes if l >= 1)
 
         def grad2(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            r = np.linalg.norm(pts, axis=1)
-            safe = np.where(r > 0, r, 1.0)
-            # einsum, not @, as in eval_points
-            t = np.clip(np.einsum("ij,j->i", pts, u.pole) / safe, -1.0, 1.0)
-            t = np.where(r > 0, t, 1.0)
+            r, t = _radius_cosine(pts, u.pole)
             radial = dr.eval_rt(r, t)
             out = radial ** 2
             if tang:

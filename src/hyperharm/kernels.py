@@ -136,8 +136,7 @@ def _series_point_mp(n: int, r: float, t: float, delta: float,
         return float(total)
 
 
-def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
-                          cap: int = SERIES_CAP,
+def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
                           mp_amplification: float = 3e9):
     """Series evaluation sum_l [F_l(delta^2 r^2)/F_l(delta^2)] r^l Z_l(t).
 
@@ -151,8 +150,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
     largest term), so double-precision accumulation loses up to half its
     digits.
 
-    With L given, returns the partial sum through degree L; otherwise each
-    (r, t) pair stops on its own once five consecutive terms fall below
+    Each (r, t) pair stops on its own once five consecutive terms fall below
     SERIES_TAIL_TOL, and where its terms cancelled by more than
     mp_amplification it is redone in arbitrary precision. Each distinct pair
     is summed once, and a pair's value does not depend on the other pairs in
@@ -184,8 +182,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
     loud = np.full(pairs.size, -1)
     live, live_of = np.unique(rad, return_inverse=True)
     fl1 = _LD(1)  # F_0(1)
-    lmax = cap if L is None else L
-    for l in range(lmax + 1):
+    for l in range(cap + 1):
         if l == 1:
             c_prev, c_curr = c_curr, 2 * lam * ta
         elif l >= 2:
@@ -207,28 +204,26 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
         abs_term = np.abs(term)
         run = run + term
         abs_run = abs_run + abs_term
-        if L is None:
-            settled = (abs_term
-                       <= _LD(SERIES_TAIL_TOL) * (np.abs(run) + _LD(1e-30)))
-            loud = np.where(settled, loud, l)
-            stop = loud == l - 5  # five quiet degrees in a row
-            if stop.any():
-                total[act[stop]] = run[stop]
-                abs_total[act[stop]] = abs_run[stop]
-                go = ~stop
-                act, rad, ra, ta = act[go], rad[go], ra[go], ta[go]
-                c_prev, c_curr, rpow = c_prev[go], c_curr[go], rpow[go]
-                run, abs_run, loud = run[go], abs_run[go], loud[go]
-                if not act.size:
-                    break
-                live, live_of = np.unique(rad, return_inverse=True)
+        settled = (abs_term
+                   <= _LD(SERIES_TAIL_TOL) * (np.abs(run) + _LD(1e-30)))
+        loud = np.where(settled, loud, l)
+        stop = loud == l - 5  # five quiet degrees in a row
+        if stop.any():
+            total[act[stop]] = run[stop]
+            abs_total[act[stop]] = abs_run[stop]
+            go = ~stop
+            act, rad, ra, ta = act[go], rad[go], ra[go], ta[go]
+            c_prev, c_curr, rpow = c_prev[go], c_curr[go], rpow[go]
+            run, abs_run, loud = run[go], abs_run[go], loud[go]
+            if not act.size:
+                break
+            live, live_of = np.unique(rad, return_inverse=True)
     if act.size:
-        if L is None:
-            warnings.warn("kernel series truncated at the term cap before "
-                          "reaching the tail tolerance", TruncationWarning)
+        warnings.warn("kernel series truncated at the term cap before "
+                      "reaching the tail tolerance", TruncationWarning)
         total[act], abs_total[act] = run, abs_run
     out = total.astype(float)
-    if L is None and np.isfinite(mp_amplification):
+    if np.isfinite(mp_amplification):
         # where the alternating terms cancelled beyond extended-precision
         # reach, redo those pairs in arbitrary precision
         ampl = abs_total / (np.abs(total) + _LD(1e-300))
@@ -241,10 +236,9 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, L: int | None = None,
     return out[inv].reshape(r.shape)
 
 
-def poisson_hyp_series(x: BallPoint, xi, delta: float,
-                       L: int | None = None, **kw):
+def poisson_hyp_series(x: BallPoint, xi, delta: float, **kw):
     xi = np.asarray(xi, dtype=float)
-    out = poisson_hyp_series_rt(x.n, x.r, float(x.zeta @ xi), delta, L, **kw)
+    out = poisson_hyp_series_rt(x.n, x.r, float(x.zeta @ xi), delta, **kw)
     return float(np.asarray(out).reshape(()))
 
 
@@ -367,71 +361,29 @@ def lemma3_build(n: int) -> Lemma3Decomposition:
     return Lemma3Decomposition(n, tuple(polys))
 
 
-class _Poly2:
-    """Tiny dense bivariate polynomial in (r, t); coeffs[i, j] multiplies
-    r^i t^j. Only what the exact kernel differentiation needs."""
-
-    def __init__(self, coeffs):
-        self.c = np.asarray(coeffs, dtype=float)
-
-    @classmethod
-    def from_terms(cls, terms):
-        imax = max(i for i, j, _ in terms)
-        jmax = max(j for i, j, _ in terms)
-        c = np.zeros((imax + 1, jmax + 1))
-        for i, j, v in terms:
-            c[i, j] += v
-        return cls(c)
-
-    def mul(self, other: "_Poly2") -> "_Poly2":
-        a, b = self.c, other.c
-        out = np.zeros((a.shape[0] + b.shape[0] - 1,
-                        a.shape[1] + b.shape[1] - 1))
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                if a[i, j] != 0.0:
-                    out[i:i + b.shape[0], j:j + b.shape[1]] += a[i, j] * b
-        return _Poly2(out)
-
-    def scale(self, s: float) -> "_Poly2":
-        return _Poly2(self.c * s)
-
-    def add(self, other: "_Poly2") -> "_Poly2":
-        ia = max(self.c.shape[0], other.c.shape[0])
-        ja = max(self.c.shape[1], other.c.shape[1])
-        out = np.zeros((ia, ja))
-        out[: self.c.shape[0], : self.c.shape[1]] += self.c
-        out[: other.c.shape[0], : other.c.shape[1]] += other.c
-        return _Poly2(out)
-
-    def diff_r(self) -> "_Poly2":
-        if self.c.shape[0] == 1:
-            return _Poly2(np.zeros((1, 1)))
-        out = self.c[1:, :] * np.arange(1, self.c.shape[0])[:, None]
-        return _Poly2(out)
-
-    def __call__(self, r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(np.broadcast(r, t).shape)
-        for i in range(self.c.shape[0]):
-            for j in range(self.c.shape[1]):
-                if self.c[i, j] != 0.0:
-                    out = out + self.c[i, j] * r ** i * t ** j
-        return out
+def _polymul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two bivariate polynomials in (r, t) given as coefficient
+    arrays, entry [i, j] multiplying r^i t^j."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+    for (i, j), v in np.ndenumerate(a):
+        if v != 0.0:
+            out[i:i + b.shape[0], j:j + b.shape[1]] += v * b
+    return out
 
 
 @lru_cache(maxsize=None)
-def _peuclid_deriv_numerator(n: int, k: int) -> _Poly2:
+def _peuclid_deriv_numerator(n: int, k: int) -> np.ndarray:
     """Numerator Q_k with d_r^k of the Euclidean kernel = Q_k / A^{n/2 + k},
-    A = 1 + r^2 - 2rt, computed by exact quotient-rule recursion."""
+    A = 1 + r^2 - 2rt, computed by exact quotient-rule recursion. Entry
+    [i, j] is the coefficient of r^i t^j; all are integers far below 2^53,
+    so every product and sum is exact."""
     if k == 0:
-        return _Poly2.from_terms([(0, 0, 1.0), (2, 0, -1.0)])  # 1 - r^2
-    A = _Poly2.from_terms([(0, 0, 1.0), (2, 0, 1.0), (1, 1, -2.0)])
-    Ap = _Poly2.from_terms([(1, 0, 2.0), (0, 1, -2.0)])  # dA/dr
+        return np.array([[1.0], [0.0], [-1.0]])  # 1 - r^2
+    A = np.array([[1.0, 0.0], [0.0, -2.0], [1.0, 0.0]])
+    Ap = np.array([[0.0, -2.0], [2.0, 0.0]])  # dA/dr = 2r - 2t
     Q = _peuclid_deriv_numerator(n, k - 1)
-    e = n / 2.0 + (k - 1)
-    return Q.diff_r().mul(A).add(Q.mul(Ap).scale(-e))
+    dQ = Q[1:] * np.arange(1, len(Q))[:, None]
+    return _polymul2(dQ, A) - (n / 2.0 + (k - 1)) * _polymul2(Q, Ap)
 
 
 def poisson_euclid_radial_derivative(n: int, k: int, r, t):
@@ -440,8 +392,11 @@ def poisson_euclid_radial_derivative(n: int, k: int, r, t):
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     A = 1.0 + r ** 2 - 2.0 * r * t
-    Q = _peuclid_deriv_numerator(n, k)
-    return Q(r, t) / A ** (n / 2.0 + k)
+    Q = np.zeros(np.broadcast(r, t).shape)
+    for (i, j), c in np.ndenumerate(_peuclid_deriv_numerator(n, k)):
+        if c != 0.0:
+            Q = Q + c * r ** i * t ** j
+    return Q / A ** (n / 2.0 + k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Special functions for the radial and angular factors of hyperbolic-harmonic
 expansions on the unit ball.
 
-The radial family is F_l(x) = 2F1(l, 1 - n/2; l + n/2; x) together with its
-normalization f_l = F_l / F_l(1); the angular family is the zonal harmonic
+The radial family is F_l(x) = 2F1(l, 1 - n/2; l + n/2; x), used through its
+normalization f_l = F_l / F_l(1) and the derivatives of f_l (fl_deriv); the
+angular family is the zonal harmonic
 Z_l(t) = ((2l + n - 2)/(n - 2)) C_l^{(n-2)/2}(t), normalized so that
 sum_l r^l Z_l(t) reproduces the Euclidean Poisson kernel.
 """
@@ -168,73 +169,38 @@ def _euler_2f1(a: float, b: float, c: float, x):
     return pref * integral
 
 
-def _eval_2f1_family(a: float, b: float, c: float, x, tol: float, cap: int):
-    """Evaluate 2F1(a, b; c; x) for the radial-family parameter patterns,
-    choosing series or Euler integral per point."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    terminating = b <= 0 and float(b).is_integer()
-    near = x > _SERIES_X_MAX
-    if terminating or not near.any():
-        out[:] = _series_2f1(a, b, c, x, tol, cap)
-    else:
-        far = ~near
-        if far.any():
-            out[far] = _series_2f1(a, b, c, x[far], tol, cap)
-        out[near] = _euler_2f1(a, b, c, x[near])
-    return out[0] if scalar else out
+def fl_deriv(l: int, n: int, x, order: int = 1,
+             tol: float = SERIES_TOL, cap: int = SERIES_CAP):
+    """order-th derivative of f_l(x) = F_l(x) / F_l(1) for x in [0, 1], with
+    F_l(x) = 2F1(l, 1 - n/2; l + n/2; x); order 0 is f_l itself, exactly 1
+    at x = 1 and for l = 0.
 
-
-def hyp2f1_Fl(l: int, n: int, x, tol: float = SERIES_TOL, cap: int = SERIES_CAP):
-    """F_l(x) = 2F1(l, 1 - n/2; l + n/2; x) for x in [0, 1].
-
-    For n even the series terminates and is summed exactly as a polynomial of
-    degree <= n/2 - 1; for n odd the series (or the Euler integral near x = 1)
-    is used. x = 1 is returned from the Gauss closed form.
+    Uses the parameter-shift rule d/dx 2F1(a,b;c;x) = (ab/c)
+    2F1(a+1, b+1; c+1; x). Each point is summed by the power series (a
+    polynomial for even n), or by the Euler integral above _SERIES_X_MAX
+    when the series does not terminate.
     """
     if l < 0 or n < 3:
         raise ValueError("need l >= 0 and n >= 3")
-    if l == 0:
-        x = np.asarray(x, dtype=float)
-        return float(1.0) if x.ndim == 0 else np.ones_like(x)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    out = np.empty_like(xv)
-    at_one = xv == 1.0
-    if at_one.any():
-        out[at_one] = gauss_Fl_at_one(l, n)
-    rest = ~at_one
-    if rest.any():
-        out[rest] = _eval_2f1_family(l, 1.0 - n / 2.0, l + n / 2.0, xv[rest], tol, cap)
-    return float(out[0]) if scalar else out
-
-
-def fl_normalized(l: int, n: int, x, tol: float = SERIES_TOL, cap: int = SERIES_CAP):
-    """f_l(x) = F_l(x) / F_l(1); identically 1 for l = 0 and at x = 1."""
-    if l == 0:
-        x = np.asarray(x, dtype=float)
-        return float(1.0) if x.ndim == 0 else np.ones_like(x)
-    return hyp2f1_Fl(l, n, x, tol, cap) / gauss_Fl_at_one(l, n)
-
-
-def fl_deriv(l: int, n: int, x, order: int = 1,
-             tol: float = SERIES_TOL, cap: int = SERIES_CAP):
-    """order-th derivative of f_l at x, via the parameter-shift rule
-    d/dx 2F1(a,b;c;x) = (ab/c) 2F1(a+1, b+1; c+1; x)."""
-    if order == 0:
-        return fl_normalized(l, n, x, tol, cap)
+    out = np.ones_like(x) if order == 0 else np.zeros_like(x)
     a, b, c = float(l), 1.0 - n / 2.0, l + n / 2.0
     pref = 1.0
     for j in range(order):
         pref *= (a + j) * (b + j) / (c + j)
-    if pref == 0.0:
-        x = np.asarray(x, dtype=float)
-        return float(0.0) if x.ndim == 0 else np.zeros_like(x)
-    val = _eval_2f1_family(a + order, b + order, c + order, x, tol, cap)
-    return pref * val / gauss_Fl_at_one(l, n)
+    if l > 0 and pref != 0.0:
+        a, b, c = a + order, b + order, c + order
+        norm = gauss_Fl_at_one(l, n)
+        todo = x != 1.0 if order == 0 else np.ones(x.shape, bool)
+        terminating = b <= 0 and b.is_integer()
+        euler = todo & (x > _SERIES_X_MAX) & (not terminating)
+        series = todo & ~euler
+        if series.any():
+            out[series] = pref * _series_2f1(a, b, c, x[series], tol,
+                                             cap) / norm
+        if euler.any():
+            out[euler] = pref * _euler_2f1(a, b, c, x[euler]) / norm
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The benchmark's tracing hooks (perfbench/tracing.py) against the library:
 every hooked attribute still resolves to a callable, the F_l cache still
-reports its hits, and a traced call gives a finite number for every
-per-layer metric that BENCHMARK.json names. A hook that no longer resolves
-makes its metrics null, which the benchmark's result line cannot carry."""
+reports its hits, and traced kernel and extension calls give a finite
+number for every per-layer metric that BENCHMARK.json names, with every
+counter hook run. A hook that no longer resolves makes its metrics null,
+which the benchmark's result line cannot carry."""
 
 import importlib
 import importlib.util
@@ -62,9 +63,17 @@ def test_traced_call_gives_every_layer_metric():
     hh = _package()
     tracer = tracing.Tracer()
     cache0 = hh.kernels._Fl_scalar.cache_info()
+    pole = np.array([1.0, 0.0, 0.0])
+    u = hh.harmonic.extend(hh.harmonic.ZonalExpansion(3, pole, [0.5, 1.0,
+                                                                0.25]))
+    t = np.linspace(-1, 1, 5)
     hooks = tracing.Hooks(hh, tracer)
     try:
-        hh.kernels.poisson_hyp_series_rt(3, 0.5, np.linspace(-1, 1, 5), 0.5)
+        hh.kernels.poisson_hyp_series_rt(3, 0.5, t, 0.5)
+        # f_l at delta^2 r^2 = 0.25 (series) and 0.9604 (Euler integral)
+        u.eval_rt(np.array([0.5, 0.98]), t[:2])
+        hh.harmonic.gradient_sq(u)(np.array([[0.3, 0.2, 0.1],
+                                             [0.0, 0.97, 0.0]]))
     finally:
         hooks.close()
     cache1 = hh.kernels._Fl_scalar.cache_info()
@@ -80,3 +89,6 @@ def test_traced_call_gives_every_layer_metric():
         assert isinstance(value, (int, float)), metric["name"]
         assert math.isfinite(value), metric["name"]
     assert layer["kernels.poisson_hyp_series_rt.calls"]["value"] == 1
+    for name in ("specfun.fl_deriv.points", "specfun.route.series.points",
+                 "specfun.route.euler.points"):
+        assert layer[name]["value"] > 0, name

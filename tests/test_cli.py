@@ -157,6 +157,20 @@ class TestExtend:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("flag", [("--ladder-depth", "0"),
+                                      ("--ladder-depth", "-2"),
+                                      ("--grid-degree", "-4")])
+    def test_grid_flags_out_of_range_exit_2(self, capsys, tmp_path, flag):
+        # the same rule as functional's flags, from RunConfig
+        data = write_zonal(tmp_path, [1.0, 0.5])
+        out_path = tmp_path / "ext.csv"
+        code, out, err = run_cli(capsys, "extend", "--data", data,
+                                 "--out", str(out_path), *flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["functional", "extend"])
@@ -384,6 +398,30 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_seed_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "green", "--seed", "-3",
+                                 "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("doc", [{"n": 3.5}, {"lmax": 2.5},
+                                     {"seed": 1.5}, {"seed": "7"},
+                                     {"seed": -3}, {"out_dir": 5},
+                                     {"ladder_depth": 4.5}, {"alphas": []},
+                                     {"ps": []}])
+    def test_malformed_config_exit_3(self, capsys, tmp_path, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "green",
+                                 "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "r"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
 
     def test_bad_config_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

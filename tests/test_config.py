@@ -36,6 +36,17 @@ class TestValidation:
         {"g_form": "other"},
         {"ps": (float("inf"),)},
         {"ps": (1.0, float("nan"))},
+        {"n": 3.5},
+        {"lmax": 2.5},
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"seed": -3},
+        {"out_dir": 5},
+        {"ladder_depth": 4.5},
+        {"grid_degree": 48.0},
+        {"n": True},
+        {"alphas": ()},
+        {"ps": []},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):

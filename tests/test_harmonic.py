@@ -48,7 +48,7 @@ class TestRadialPart:
         rad = hm.RadialPart.base(2, 3, coeff=1.5)
         r = 0.4
         assert rad.evaluate(r) == pytest.approx(
-            1.5 * sf.fl_normalized(2, 3, r ** 2) * r ** 2, rel=1e-12)
+            1.5 * sf.fl_deriv(2, 3, r ** 2, 0) * r ** 2, rel=1e-12)
 
     def test_apply_N_matches_fd(self):
         rad = hm.RadialPart.base(3, 4, coeff=0.7)

@@ -72,7 +72,7 @@ def fl_extended_loop(l, n, x, cap=4000):
     return total
 
 
-def series_loop(n, r, t, delta, L=None, tail_tol=ker.SERIES_TAIL_TOL,
+def series_loop(n, r, t, delta, tail_tol=ker.SERIES_TAIL_TOL,
                 cap=ker.SERIES_CAP, mp_amplification=3e9):
     """Reference kernel series: every pair of the broadcast (r, t) arrays
     summed as given, with no deduplication and no active set."""
@@ -99,11 +99,10 @@ def series_loop(n, r, t, delta, L=None, tail_tol=ker.SERIES_TAIL_TOL,
     x_arr = d2 * r ** 2
     x_unique, x_inv = np.unique(x_arr, return_inverse=True)
     x_keys = [float(x) for x in x_unique]
-    lmax = cap if L is None else L
     loud = np.full(r.shape, -1)
     stopped = np.zeros(r.shape, dtype=bool)
     kept, abs_kept = total, abs_total
-    for l in range(lmax + 1):
+    for l in range(cap + 1):
         if l == 1:
             c_prev, c_curr = c_curr, 2 * lam * t
         elif l >= 2:
@@ -126,23 +125,21 @@ def series_loop(n, r, t, delta, L=None, tail_tol=ker.SERIES_TAIL_TOL,
         abs_term = np.abs(term)
         total = total + term
         abs_total = abs_total + abs_term
-        if L is None:
-            settled = abs_term <= _LD(tail_tol) * (np.abs(total) + _LD(1e-30))
-            loud = np.where(settled, loud, l)
-            stop = (loud == l - 5) & ~stopped
-            kept = np.where(stop, total, kept)
-            abs_kept = np.where(stop, abs_total, abs_kept)
-            stopped |= stop
-            if stopped.all():
-                break
-    if L is None:
-        if not stopped.all():
-            warnings.warn("kernel series truncated at the term cap",
-                          TruncationWarning)
-        total = np.where(stopped, kept, total)
-        abs_total = np.where(stopped, abs_kept, abs_total)
+        settled = abs_term <= _LD(tail_tol) * (np.abs(total) + _LD(1e-30))
+        loud = np.where(settled, loud, l)
+        stop = (loud == l - 5) & ~stopped
+        kept = np.where(stop, total, kept)
+        abs_kept = np.where(stop, abs_total, abs_kept)
+        stopped |= stop
+        if stopped.all():
+            break
+    if not stopped.all():
+        warnings.warn("kernel series truncated at the term cap",
+                      TruncationWarning)
+    total = np.where(stopped, kept, total)
+    abs_total = np.where(stopped, abs_kept, abs_total)
     out = total.astype(float)
-    if L is None and np.isfinite(mp_amplification):
+    if np.isfinite(mp_amplification):
         ampl = (abs_total / (np.abs(total) + _LD(1e-300))).ravel()
         rf, tf, flat = r.ravel(), t.ravel(), out.ravel()
         for i in np.nonzero(ampl > _LD(mp_amplification))[0]:
@@ -246,9 +243,6 @@ class TestFlExtended:
 
 
 class TestSeries:
-    def test_l0_partial_sum(self):
-        assert ker.poisson_hyp_series_rt(3, 0.5, 0.2, 0.7, L=0) == 1.0
-
     def test_delta0_matches_euclid(self):
         rng = np.random.default_rng(1)
         t = rng.uniform(-1, 1, 20)
@@ -337,15 +331,6 @@ class TestSeries:
                 ker.poisson_hyp_series_rt(n, r[sub], t[sub], delta, **kw),
                 full[sub])
 
-    def test_partial_sums_match_loop(self):
-        r = np.array([0.0, 0.5, 0.9])[:, None]
-        t = np.linspace(-1.0, 1.0, 9)
-        for n, delta in ((3, 0.5), (4, 0.25), (6, 1.0)):
-            for L in (0, 1, 5, 40):
-                assert np.array_equal(
-                    ker.poisson_hyp_series_rt(n, r, t, delta, L=L),
-                    series_loop(n, r, t, delta, L=L)), (n, delta, L)
-
     def test_truncated_call_matches_loop(self):
         t = np.array([-0.2, 0.4, 0.4])
         with pytest.warns(TruncationWarning):
@@ -415,14 +400,14 @@ class TestDecomposition:
         x = 0.25
         for l in (0, 1, 3, 6):
             assert dec.fl_via_decomposition(l, x) == pytest.approx(
-                sf.fl_normalized(l, 4, x), abs=1e-12)
+                sf.fl_deriv(l, 4, x, 0), abs=1e-12)
 
     def test_fl_route_agreement_n6(self):
         dec = ker.lemma3_build(6)
         for l in (0, 2, 5):
             for x in (0.1, 0.5, 0.9):
                 assert dec.fl_via_decomposition(l, x) == pytest.approx(
-                    sf.fl_normalized(l, 6, x), abs=1e-12)
+                    sf.fl_deriv(l, 6, x, 0), abs=1e-12)
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(5)

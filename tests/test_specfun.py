@@ -58,18 +58,19 @@ class TestPochhammer:
 
 class TestRadialFamily:
     def test_l0_is_one(self):
-        assert sf.hyp2f1_Fl(0, 5, 0.7) == 1.0
+        assert sf.fl_deriv(0, 5, 0.7, 0) == 1.0
 
     def test_value_at_one_even_n(self):
         # F_1(1) for n=4 equals (p)_{p-1}/(l+p)_{p-1} = 2/3 with p=2, l=1,
         # matching both the Gauss closed form and the terminating series
-        val = sf.hyp2f1_Fl(1, 4, 1.0)
+        val = sf.gauss_Fl_at_one(1, 4)
         assert val == pytest.approx(2.0 / 3.0, abs=1e-14)
         assert val == pytest.approx(series_2f1_oracle(1, -1, 3, 1.0), abs=1e-14)
 
     def test_against_series_oracle(self):
         want = series_2f1_oracle(2, 1 - 1.5, 2 + 1.5, 0.5)
-        assert sf.hyp2f1_Fl(2, 3, 0.5) == pytest.approx(want, rel=1e-12)
+        got = sf.fl_deriv(2, 3, 0.5, 0) * sf.gauss_Fl_at_one(2, 3)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_gauss_closed_form_matches_series_limit(self):
         for l, n in [(1, 3), (2, 5), (4, 3), (3, 5)]:
@@ -84,32 +85,35 @@ class TestRadialFamily:
                 for x in rng.uniform(0.0, 1.0, 3):
                     # terminating sum of exactly p terms
                     want = series_2f1_oracle(l, 1 - p, l + p, x, terms=p)
-                    assert sf.hyp2f1_Fl(l, n, x) == pytest.approx(want, abs=1e-13)
+                    got = sf.fl_deriv(l, n, x, 0) * sf.gauss_Fl_at_one(l, n)
+                    assert got == pytest.approx(want, abs=1e-13)
 
     def test_normalization_exact_at_one(self):
         for l in range(6):
             for n in (3, 4, 5, 6):
-                assert sf.fl_normalized(l, n, 1.0) == 1.0
+                assert sf.fl_deriv(l, n, 1.0, 0) == 1.0
 
     def test_fl_l0_is_one(self):
-        assert sf.fl_normalized(0, 6, 0.123) == 1.0
+        assert sf.fl_deriv(0, 6, 0.123, 0) == 1.0
+        assert sf.fl_deriv(0, 6, 0.123, 2) == 0.0
 
     def test_near_one_odd_n(self):
         # frozen from a high-precision evaluation of 2F1(5, -1/2; 13/2; x)
         x = 0.999992
-        assert sf.hyp2f1_Fl(5, 3, x) == pytest.approx(0.45118089733599137, rel=1e-10)
+        got = sf.fl_deriv(5, 3, x, 0) * sf.gauss_Fl_at_one(5, 3)
+        assert got == pytest.approx(0.45118089733599137, rel=1e-10)
 
     def test_derivative_rule_vs_central_difference(self):
         h = 1e-6
         for l, n, x in [(2, 3, 0.4), (3, 5, 0.7), (2, 4, 0.5)]:
-            fd = (sf.fl_normalized(l, n, x + h) - sf.fl_normalized(l, n, x - h)) / (2 * h)
+            fd = (sf.fl_deriv(l, n, x + h, 0) - sf.fl_deriv(l, n, x - h, 0)) / (2 * h)
             assert sf.fl_deriv(l, n, x, 1) == pytest.approx(fd, rel=1e-6)
 
     def test_second_derivative_vs_difference(self):
         h = 1e-4
         l, n, x = 3, 5, 0.6
-        fd = (sf.fl_normalized(l, n, x + h) - 2 * sf.fl_normalized(l, n, x)
-              + sf.fl_normalized(l, n, x - h)) / h**2
+        fd = (sf.fl_deriv(l, n, x + h, 0) - 2 * sf.fl_deriv(l, n, x, 0)
+              + sf.fl_deriv(l, n, x - h, 0)) / h**2
         assert sf.fl_deriv(l, n, x, 2) == pytest.approx(fd, rel=1e-6)
 
     def test_even_n_high_derivative_is_zero(self):
@@ -119,9 +123,24 @@ class TestRadialFamily:
 
     def test_vectorized_matches_scalar(self):
         xs = np.array([0.1, 0.5, 0.92, 0.999])
-        vec = sf.fl_normalized(3, 3, xs)
+        vec = sf.fl_deriv(3, 3, xs, 0)
         for x, v in zip(xs, vec):
-            assert v == pytest.approx(sf.fl_normalized(3, 3, float(x)), rel=1e-12)
+            assert v == pytest.approx(sf.fl_deriv(3, 3, float(x), 0), rel=1e-12)
+
+    def test_points_route_on_their_own(self):
+        # the series up to _SERIES_X_MAX, the Euler integral above it for odd
+        # n, exactly 1 at x = 1 for order 0: a batch equals its points alone
+        xs = np.array([0.0, 0.3, 0.9, np.nextafter(0.9, 1.0), 0.97, 1.0])
+        for n in (3, 4, 5):
+            for order in range(4):
+                batch = sf.fl_deriv(7, n, xs, order)
+                alone = [sf.fl_deriv(7, n, float(x), order) for x in xs]
+                assert all(type(v) is float for v in alone)
+                assert np.array_equal(batch, alone), (n, order)
+            assert batch.shape == xs.shape and sf.fl_deriv(7, n, 1.0, 0) == 1.0
+        for l, n in ((-1, 3), (1, 2)):
+            with pytest.raises(ValueError):
+                sf.fl_deriv(l, n, 0.5, 0)
 
     def test_series_stops_per_point(self):
         # points needing well under 64 terms, about 64 (one block) and
