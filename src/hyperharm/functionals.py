@@ -3,9 +3,9 @@ with L^p quasi-norms on the sphere.
 
 Functionals are computed over a shared FunctionalGrid: a boundary grid, a
 dyadic radial ladder approaching the boundary, and a cone-quadrature
-resolution for the approach regions. Each evaluates u once (once per sweep
-of the area integral's refinement) on the points of every boundary node
-together, so a plain callable u must act pointwise.
+resolution for the approach regions. Each evaluates u on the points of
+many boundary nodes together (up to _POINT_BUDGET points; once per sweep of
+the area integral's refinement), so a plain callable u must act pointwise.
 """
 
 from __future__ import annotations
@@ -164,14 +164,27 @@ def radial_max(u, grid: FunctionalGrid) -> FunctionalResult:
     return FunctionalResult("radial-max", grid, vals.max(axis=0))
 
 
-def _cone_grids(alpha: float, grid: FunctionalGrid, spec: ConeSpec) -> list:
-    """The approach-region quadrature of every boundary node."""
-    n = grid.boundary.nodes.shape[1]
-    return [geo.cone_quadrature(ConeRegion(alpha, xi), n, grid.r_max,
-                                pole=grid.boundary.pole, shells=spec.shells,
-                                n_radial=spec.n_radial, n_polar=spec.n_polar,
-                                n_angular=spec.n_angular)
-            for xi in grid.boundary.nodes]
+# most points of one evaluation of u by the cone functionals (the largest
+# sweep of the benchmark's cone-functionals workload has 8,640)
+_POINT_BUDGET = 1 << 16
+
+
+def _cone_grids(alpha: float, grid: FunctionalGrid, spec: ConeSpec,
+                extra: int = 0):
+    """The approach-region quadrature of every boundary node, as (grids,
+    nodes) for runs of consecutive nodes whose points, at most the product
+    of spec's counts plus extra per node, stay within _POINT_BUDGET (one
+    node at least), so that memory stays bounded on large grids."""
+    nodes, n = grid.boundary.nodes, grid.boundary.nodes.shape[1]
+    per = max(1, _POINT_BUDGET // (spec.shells * spec.n_radial * spec.n_polar
+                                   * spec.n_angular + extra))
+    for run in (nodes[i:i + per] for i in range(0, len(nodes), per)):
+        yield [geo.cone_quadrature(ConeRegion(alpha, xi), n, grid.r_max,
+                                   pole=grid.boundary.pole, shells=spec.shells,
+                                   n_radial=spec.n_radial,
+                                   n_polar=spec.n_polar,
+                                   n_angular=spec.n_angular)
+               for xi in run], run
 
 
 def _split(vals: np.ndarray, parts) -> list:
@@ -182,13 +195,14 @@ def _split(vals: np.ndarray, parts) -> list:
 def cone_max(u, alpha: float, grid: FunctionalGrid) -> FunctionalResult:
     """Non-tangential maximal function over the approach region of aperture
     alpha, truncated at the ladder top."""
-    # the radial ray lies in every approach region; include the ladder
-    parts = [np.concatenate([vg.points, grid.radii[:, None] * xi[None, :]])
-             for vg, xi in zip(_cone_grids(alpha, grid, grid.cone),
-                               grid.boundary.nodes)]
-    vals = np.abs(_values(u, np.concatenate(parts)))
-    return FunctionalResult("cone-max", grid,
-                            [float(np.max(v)) for v in _split(vals, parts)])
+    out = []
+    for vgs, nodes in _cone_grids(alpha, grid, grid.cone, len(grid.radii)):
+        # the radial ray lies in every approach region; include the ladder
+        parts = [np.concatenate([vg.points, grid.radii[:, None] * xi[None, :]])
+                 for vg, xi in zip(vgs, nodes)]
+        vals = np.abs(_values(u, np.concatenate(parts)))
+        out += [float(np.max(v)) for v in _split(vals, parts)]
+    return FunctionalResult("cone-max", grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +220,13 @@ def area_integral(u, alpha: float, grid: FunctionalGrid,
     q = _radial_deriv_sq_func(u, n) if radial_only else _grad_sq_func(u, n)
 
     def sweep(spec):
-        vgs = _cone_grids(alpha, grid, spec)
-        pts = [vg.points for vg in vgs]
-        qs = _split(q(np.concatenate(pts)), pts)
         out = []
-        for vg, qv in zip(vgs, qs):
-            w = (1.0 - np.sum(vg.points ** 2, axis=1)) ** (-n + 2)
-            # a 1-D dot per node; a stacked matrix-vector product rounds apart
-            out.append(float(vg.weights @ (qv * w)))
+        for vgs, _ in _cone_grids(alpha, grid, spec):
+            pts = [vg.points for vg in vgs]
+            for vg, qv in zip(vgs, _split(q(np.concatenate(pts)), pts)):
+                w = (1.0 - np.sum(vg.points ** 2, axis=1)) ** (-n + 2)
+                # a 1-D dot per node; a matrix-vector product rounds apart
+                out.append(float(vg.weights @ (qv * w)))
         return np.array(out)
 
     spec = grid.cone

@@ -293,8 +293,9 @@ class TestOutput:
 
 
 class TestBatchedMatchesLoop:
-    """cone_max and area_integral evaluate u once per sweep over every
-    node's points; each value must equal the node-by-node computation."""
+    """cone_max and area_integral evaluate u on many nodes' points at once
+    (once per sweep, in chunks under a point budget); each value must equal
+    the node-by-node computation."""
 
     CONE = fn.ConeSpec(shells=5, n_radial=2, n_polar=3, n_angular=3)
 
@@ -330,6 +331,21 @@ class TestBatchedMatchesLoop:
                 got = fn.area_integral(u, 0.5, grid, **kw).values
                 want = area_integral_loop(u, 0.5, grid, **kw)
                 assert np.array_equal(got, want)
+
+    def test_point_budget_chunks_alike(self, monkeypatch):
+        # under a small point budget u is evaluated on a few nodes (or one)
+        # at a time; every value stays the same
+        for u, grid in list(self.cases())[:5]:
+            whole = (fn.cone_max(u, 0.5, grid).values,
+                     fn.area_integral(u, 0.5, grid, refine_tol=0.5).values)
+            for budget in (1, 200):
+                monkeypatch.setattr(fn, "_POINT_BUDGET", budget)
+                assert np.array_equal(fn.cone_max(u, 0.5, grid).values,
+                                      whole[0])
+                assert np.array_equal(
+                    fn.area_integral(u, 0.5, grid, refine_tol=0.5).values,
+                    whole[1])
+                monkeypatch.undo()
 
     def test_area_integral_fails_alike(self):
         for u, grid in self.cases():

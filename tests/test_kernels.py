@@ -2,6 +2,7 @@
 radial transfer identity."""
 
 import math
+import time
 import warnings
 from functools import lru_cache
 
@@ -149,30 +150,45 @@ def series_loop(n, r, t, delta, tail_tol=ker.SERIES_TAIL_TOL,
     return out
 
 
+@lru_cache(maxsize=None)
+def Fl_mp(n, l, x, dps):
+    """Reference F_l(x) in dps-digit arithmetic: the direct series, or Gauss
+    summation at x = 1."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, b, c = mp.mpf(l), 1 - mp.mpf(n) / 2, l + mp.mpf(n) / 2
+        if x == 1:
+            return (mp.gamma(c) * mp.gamma(c - a - b)
+                    / (mp.gamma(c - a) * mp.gamma(c - b)))
+        term = total = mp.mpf(1)
+        k = 0
+        while True:
+            term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
+            total += term
+            k += 1
+            if term == 0 or abs(term) <= mp.mpf(10) ** (-dps - 5) \
+                    * abs(total):
+                return total
+
+
+def ratio_mp(n, l, r, delta, dps):
+    """Reference F_l(delta^2 r^2)/F_l(delta^2) in dps-digit arithmetic."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        rr, dd = mp.mpf(r), mp.mpf(delta)
+        return Fl_mp(n, l, (dd * rr) ** 2, dps) / Fl_mp(n, l, dd ** 2, dps)
+
+
 def series_point_mp_loop(n, r, t, delta, cap, dps=40):
     """Reference mpmath point evaluation that recomputes the radial ratio
     F_l(delta^2 r^2)/F_l(delta^2) at every degree."""
     import mpmath as mp
 
     with mp.workdps(dps):
-        rr, tt, dd = mp.mpf(r), mp.mpf(t), mp.mpf(delta)
+        rr, tt = mp.mpf(r), mp.mpf(t)
         lam = mp.mpf(n - 2) / 2
-
-        def F(l, xx):
-            a, b, c = mp.mpf(l), 1 - mp.mpf(n) / 2, l + mp.mpf(n) / 2
-            if xx == 1:
-                return (mp.gamma(c) * mp.gamma(c - a - b)
-                        / (mp.gamma(c - a) * mp.gamma(c - b)))
-            term = total = mp.mpf(1)
-            k = 0
-            while True:
-                term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * xx
-                total += term
-                k += 1
-                if term == 0 or abs(term) <= mp.mpf(10) ** (-dps - 5) \
-                        * abs(total):
-                    return total
-
         c_prev, c_curr = mp.mpf(0), mp.mpf(1)
         total, rpow = mp.mpf(0), mp.mpf(1)
         tol = mp.mpf(10) ** (-(dps - 5))
@@ -186,7 +202,7 @@ def series_point_mp_loop(n, r, t, delta, cap, dps=40):
                 c_prev, c_curr = c_curr, c_new
             z = mp.mpf(2 * l + n - 2) / (n - 2) * c_curr
             ratio = (mp.mpf(1) if delta == 0.0 or l == 0
-                     else F(l, (dd * rr) ** 2) / F(l, dd ** 2))
+                     else ratio_mp(n, l, r, delta, dps))
             term = ratio * rpow * z
             total += term
             rpow *= rr
@@ -197,6 +213,24 @@ def series_point_mp_loop(n, r, t, delta, cap, dps=40):
             else:
                 quiet = 0
         return float(total)
+
+
+def check_mp_weights(n, r, delta, dps, degrees=(1, 2, 7, 64, 300, 1024)):
+    """The degree-l weights of the mpmath fallback's sum at dps digits, from
+    a table at the least precision it uses, against the per-degree
+    reference ratios at dps + 10 digits, to 10^-dps relative. A weight
+    carries the leading coefficient of C_l, prod_k (2k+n-4)/k."""
+    import mpmath as mp
+
+    table = ker._mp_table(n, r, delta, dps + ker._MP_GUARD, 1024)
+    with mp.workdps(dps + 10):
+        for l in degrees:
+            lead = mp.fprod(mp.mpf(2 * k + n - 4) / k for k in range(1, l + 1))
+            want = (ratio_mp(n, l, r, delta, dps + 10) * mp.mpf(r) ** l
+                    * (2 * l + n - 2) / (n - 2) * lead)
+            got = table[l][0]
+            assert abs(got - want) <= mp.mpf(10) ** -dps * abs(want), \
+                (n, r, delta, l)
 
 
 def capped(fn, *args, **kw):
@@ -295,6 +329,21 @@ class TestSeries:
         alone = ker.poisson_hyp_series_rt(6, 0.9, t[:1], 1.0)
         assert fallback == [-0.9957, -0.9957]
         assert np.array_equal(grid[:1], alone)
+        # with cold caches, the same point alone and in a batch whose other
+        # fallback points take other precisions
+        dps = []
+        monkeypatch.setattr(ker, "_series_point_mp",
+                            lambda *a, **k: dps.append(k["dps"])
+                            or mp_point(*a, **k))
+        t = np.array([-1.0, -0.9957, -0.96, -0.8])
+        for cache in (ker._mp_table, ker._Fl_scalar):
+            cache.cache_clear()
+        alone = ker.poisson_hyp_series_rt(6, 0.9, t[1:2], 1.0)
+        for cache in (ker._mp_table, ker._Fl_scalar):
+            cache.cache_clear()
+        grid = ker.poisson_hyp_series_rt(6, 0.9, t, 1.0)
+        assert len(set(dps[1:])) == 4  # four points, four precisions
+        assert np.array_equal(grid[1:2], alone)
 
     def test_grids_match_loop(self):
         # r x t broadcast grids: one sum per distinct pair over an active
@@ -353,16 +402,55 @@ class TestSeries:
         assert np.array_equal(batch, series_loop(6, 0.9, t, 1.0))
 
     def test_mp_point_matches_loop(self):
-        # the radial ratio shared across angles gives the per-point values
-        # (the second point reuses the first one's ratios)
+        # the fallback's radial table, built by the backward recurrence,
+        # against the per-degree ratios the reference loop recomputes
+        for n in range(3, 9):
+            for delta in (0.25, 0.5, 0.95, 1.0):
+                for r in (0.0, 0.3, 0.9, 0.99):
+                    check_mp_weights(n, r, delta, 22)
+        # and whole points, against the reference loop in ten more digits;
+        # the first point keeps about 12 digits at its dps
         for n, r, t, delta, dps in ((6, 0.9, -0.9957, 1.0, 22),
                                     (6, 0.9, -0.9, 1.0, 22),
                                     (6, 0.8, -0.99, 0.5, 21),
                                     (5, 0.6, -0.5, 0.5, 18),
                                     (3, 0.7, 0.2, 0.25, 18)):
             got = ker._series_point_mp(n, r, t, delta, 1024, dps=dps)
-            want = series_point_mp_loop(n, r, t, delta, 1024, dps=dps)
-            assert got == want, (n, r, t, delta)
+            want = series_point_mp_loop(n, r, t, delta, 1024, dps=dps + 10)
+            assert got == pytest.approx(want, rel=1e-10, abs=0), (n, r, t)
+
+    def test_mp_weights_near_one(self):
+        # delta^2 = 0.998 would put Miller's start 32k degrees above the
+        # cap; the recurrence starts at the cap from mpmath's hyp2f1 instead
+        # (even n terminates, odd n does not)
+        for n in (4, 5):
+            start = time.perf_counter()
+            ker._mp_table.cache_clear()
+            ker._mp_table(n, 0.99, 0.999, 22 + ker._MP_GUARD, 1024)
+            assert time.perf_counter() - start < 5.0
+            check_mp_weights(n, 0.99, 0.999, 22)
+
+    def test_mp_fallback_points_match_closed_form(self, monkeypatch):
+        # every fallback point of acceptance criterion 01's delta = 1 grid
+        # with r <= 0.9, at the precision the series picks, against the
+        # closed form in 50 digits
+        import mpmath as mp
+
+        seen = []
+        mp_point = ker._series_point_mp
+        monkeypatch.setattr(ker, "_series_point_mp",
+                            lambda *a, **k: seen.append((a, mp_point(*a, **k)))
+                            or seen[-1][1])
+        t = np.linspace(-1.0, 1.0, 101)
+        for n in (3, 4, 5, 6):
+            for r in (0.3, 0.6, 0.9):
+                ker.poisson_hyp_series_rt(n, r, t, 1.0)
+        assert len(seen) >= 20
+        with mp.workdps(50):
+            for (n, r, tt, _, _), got in seen:
+                rr, tt = mp.mpf(r), mp.mpf(tt)
+                want = ((1 - rr ** 2) / (1 + rr ** 2 - 2 * rr * tt)) ** (n - 1)
+                assert abs(got / want - 1) <= 4e-15, (n, r, tt)
 
     def test_truncation_warning(self):
         with pytest.warns(TruncationWarning):
