@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import betaln, roots_jacobi
 
 from . import specfun as sf
-from .errors import QuadratureFailure, TruncationWarning, UnsupportedDimension
+from .errors import (NonConvergence, QuadratureFailure, TruncationWarning,
+                     UnsupportedDimension)
 from .geometry import BallPoint
 
 SERIES_CAP = 1024
@@ -49,15 +50,27 @@ def poisson_hyp(x: BallPoint, xi) -> float:
 
 
 _LD = np.longdouble
+# pair x degree cells of one block of the kernel series at most, and the
+# degrees of its first block; later blocks double within the cell budget.
+# Rows (pairs) longer than _LONG_ROW are accumulated one row at a time, and
+# one F_l call takes at most _F_ROWS (radius, degree) rows of odd n.
+_BLOCK_CELLS = 1 << 14
+_BLOCK_FIRST = 8
+_LONG_ROW = 1024
+_F_ROWS = 64
 
 
-def _Fl_at(l: int, n: int, x) -> np.ndarray:
+def _Fl_at(l, n: int, x) -> np.ndarray:
     """F_l at the double-precision arguments x, as a longdouble array: the
     shared 2F1 series in long double, each point stopping once a term falls
-    to 1e-21 of its partial sum (exactly, as a polynomial, for even n)."""
-    return sf._series_2f1(l, 1.0 - n / 2.0, l + n / 2.0,
-                          np.asarray(x, dtype=_LD), 1e-21, sf.SERIES_CAP,
-                          floor=0.0)
+    to 1e-21 of its partial sum (exactly, as a polynomial, for even n).
+    The degree l may be an integer array; x is then broadcast against it,
+    so that the series sees one argument per value."""
+    x = np.asarray(x, dtype=_LD)
+    if isinstance(l, np.ndarray):
+        x = np.broadcast_to(x, np.broadcast_shapes(l.shape, x.shape))
+    return sf._series_2f1(l, 1.0 - n / 2.0, l + n / 2.0, x, 1e-21,
+                          sf.SERIES_CAP, floor=0.0)
 
 
 @lru_cache(maxsize=20000)
@@ -151,6 +164,30 @@ def _series_point_mp(n: int, r: float, t: float, delta: float,
         return float(total)
 
 
+def _running(op, carry, rows):
+    """The running op (np.add, np.multiply, np.maximum) down the rows,
+    seeded by carry: row j is op(...op(op(carry, rows[0]), rows[1])...,
+    rows[j]), in order. Long rows take one vectorized step each; short ones
+    one accumulate call, whose cost per column would dominate long rows."""
+    out = np.empty(rows.shape, dtype=rows.dtype)
+    op(carry, rows[0], out=out[0])
+    if rows.shape[1] > _LONG_ROW:
+        for j in range(1, len(rows)):
+            op(out[j - 1], rows[j], out=out[j])
+    else:
+        out[1:] = rows[1:]
+        op.accumulate(out, axis=0, out=out)
+    return out
+
+
+def _in_use(pos, *state):
+    """pos renumbered to index only the entries it still points at, and each
+    per-entry state array cut to those entries."""
+    used = np.zeros(len(state[0]), dtype=bool)
+    used[pos] = True
+    return ((np.cumsum(used) - 1)[pos], *(s[used] for s in state))
+
+
 def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
                           mp_amplification: float = 3e9):
     """Series evaluation sum_l [F_l(delta^2 r^2)/F_l(delta^2)] r^l Z_l(t).
@@ -164,6 +201,15 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
     where the kernel is small (the sum can be 1e8 times smaller than its
     largest term), so double-precision accumulation loses up to half its
     digits.
+
+    The degrees are summed in blocks: per block one F_l call for every
+    radius and degree in it, the Gegenbauer recurrence once per distinct
+    angle, and each pair's running sums as in-order accumulations, so the
+    values are bit for bit those of a sum degree by degree. The first block
+    has _BLOCK_FIRST degrees and each next one twice as many, within
+    _BLOCK_CELLS pair x degree cells; large batches thus take short blocks.
+    With the F_l calls of odd n cut to _F_ROWS rows, this bounds the work
+    arrays.
 
     Each (r, t) pair stops on its own once five consecutive terms fall below
     SERIES_TAIL_TOL, and where its terms cancelled by more than
@@ -186,55 +232,88 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
     r_of, t_of = np.divmod(pairs, t_u.size)
     total, abs_total = np.zeros((2, pairs.size), dtype=_LD)
     d2 = _LD(delta) ** 2
-    # F_l depends on r only: its argument per distinct radius, as a double
-    x_keys = (d2 * r_u ** 2).astype(float)
     lam = (_LD(n) - 2) / 2
-    # the active set: the pairs still summing, and their running state
-    act, rad = np.arange(pairs.size), r_of
-    ra, ta = r_u[r_of], t_u[t_of]
-    c_prev, c_curr = np.zeros_like(ta), np.ones_like(ta)  # C_0
-    rpow = np.ones_like(ra)
+    # the active set: the pairs still summing, their running state, and
+    # their places (rad, ang) among the distinct radii and angles in use.
+    # Per radius: r, the argument of F_l (it depends on r only) as a double,
+    # and r^l; per angle: t and the Gegenbauer C_{l-2}, C_{l-1}.
+    act, rad, ang = np.arange(pairs.size), r_of, t_of
+    ra, xr, rpow = r_u, (d2 * r_u ** 2).astype(float), np.ones_like(r_u)
+    ta, c_prev, c_curr = t_u, np.zeros(t_u.size, _LD), np.ones(t_u.size, _LD)
     run, abs_run = np.zeros((2, pairs.size), dtype=_LD)
     # per pair: the last degree whose term was above the tail tolerance
     loud = np.full(pairs.size, -1)
-    live, live_of = np.unique(rad, return_inverse=True)
-    fl1 = _LD(1)  # F_0(1)
-    for l in range(cap + 1):
-        if l == 1:
-            c_prev, c_curr = c_curr, 2 * lam * ta
-        elif l >= 2:
-            c_new = (2 * (l + lam - 1) * ta * c_curr
-                     - (l + 2 * lam - 2) * c_prev) / _LD(l)
-            c_prev, c_curr = c_curr, c_new
-        z = (2 * _LD(l) + _LD(n) - 2) / (_LD(n) - 2) * c_curr
-        if delta == 0.0 or l == 0:
-            ratio = _LD(1)
-        elif delta == 1.0:
-            # F_l(1) by the exact ratio F_l(1)/F_{l-1}(1) = (l-1+n/2)/(l+n-2)
-            fl1 = fl1 * (_LD(l - 1 + n / 2) / _LD(l + n - 2))
-            ratio = (_Fl_at(l, n, x_keys[live]) / fl1)[live_of]
-        else:
-            num = _Fl_at(l, n, x_keys[live])
-            ratio = (num / _Fl_scalar(l, n, float(d2)))[live_of]
-        term = ratio * rpow * z
-        rpow = rpow * ra
+    if delta == 1.0:
+        # F_l(1), l = 0..cap, by the exact ratio (l-1+n/2)/(l+n-2) to F_{l-1}
+        l1 = np.arange(1, cap + 1)
+        ratio = np.asarray(l1 - 1 + n / 2, _LD) / np.asarray(l1 + n - 2, _LD)
+        fl1 = np.cumprod(np.concatenate(([_LD(1)], ratio)))
+    l0, step, most = 0, _BLOCK_FIRST, _BLOCK_CELLS
+    while act.size and l0 <= cap:
+        m = max(1, min(step, most // act.size, cap + 1 - l0))
+        ls = np.arange(l0, l0 + m)
+        # r^l0 .. r^(l0+m) per distinct radius, a running product
+        w = np.empty((m + 1, ra.size), dtype=_LD)
+        w[0] = rpow
+        w[1:] = _running(np.multiply, rpow, np.broadcast_to(ra, w[1:].shape))
+        if delta > 0.0:
+            # F_l(delta^2 r^2)/F_l(delta^2), one F_l call for the block; a
+            # degree past every pair's stop may fail to converge where the
+            # per-degree sum never reached it, so retry degree by degree
+            try:
+                # an odd-n row sums up to 1024 terms a step (specfun's
+                # _SERIES_BLOCK_MAX), so a call takes at most _F_ROWS rows
+                k = m if n % 2 == 0 else max(1, _F_ROWS // ra.size)
+                num = np.concatenate([_Fl_at(ls[i:i + k, None], n, xr)
+                                      for i in range(0, m, k)])
+                den = fl1[ls] if delta == 1.0 else np.array(
+                    [_Fl_scalar(int(l), n, float(d2)) for l in ls], _LD)
+            except NonConvergence:
+                if m == 1:
+                    raise
+                step = most = 1
+                continue
+            w[:m] = num / den[:, None] * w[:m]
+        rpow = w[m]
+        # Z_l per distinct angle: the Gegenbauer recurrence C_l = (2(l+lam-1)
+        # t C_{l-1} - (l+2lam-2) C_{l-2}) / l, then Z_l = (2l+n-2)/(n-2) C_l,
+        # with the coefficients of the block's degrees taken at once
+        z = np.empty((m, ta.size), dtype=_LD)
+        lsl = ls.astype(_LD)
+        for j, a_l, b_l, l in zip(range(m), 2 * (ls + lam - 1),
+                                  ls + 2 * lam - 2, lsl):
+            if l == 1:
+                c_prev, c_curr = c_curr, 2 * lam * ta
+            elif l >= 2:
+                c_prev, c_curr = c_curr, (a_l * ta * c_curr - b_l * c_prev) / l
+            z[j] = c_curr
+        z *= ((2 * lsl + _LD(n) - 2) / (_LD(n) - 2))[:, None]
+        # each pair's terms (one row per degree) and its running sums,
+        # accumulated in order so that they round like run + term. With one
+        # radius left, its pairs are the angles in use, in order.
+        term = w[:m] * z if ra.size == 1 else w[:m, rad] * z[:, ang]
+        runs = _running(np.add, run, term)
         abs_term = np.abs(term)
-        run = run + term
-        abs_run = abs_run + abs_term
-        settled = (abs_term
-                   <= _LD(SERIES_TAIL_TOL) * (np.abs(run) + _LD(1e-30)))
-        loud = np.where(settled, loud, l)
-        stop = loud == l - 5  # five quiet degrees in a row
+        abs_runs = _running(np.add, abs_run, abs_term)
+        bound = np.abs(runs)
+        bound += _LD(1e-30)
+        bound *= _LD(SERIES_TAIL_TOL)
+        louds = _running(np.maximum, loud, np.where(abs_term <= bound, -1,
+                                                    ls[:, None]))
+        run, abs_run, loud = runs[-1], abs_runs[-1], louds[-1]
+        l0, step = l0 + m, 2 * step
+        # a pair stops at its first degree l with five quiet degrees in a
+        # row (loud == l - 5) and keeps the sums through l
+        quiet5 = louds == (ls - 5)[:, None]
+        stop = quiet5.any(axis=0)
         if stop.any():
-            total[act[stop]] = run[stop]
-            abs_total[act[stop]] = abs_run[stop]
+            i = np.flatnonzero(stop)
+            at = quiet5[:, i].argmax(axis=0)
+            total[act[i]], abs_total[act[i]] = runs[at, i], abs_runs[at, i]
             go = ~stop
-            act, rad, ra, ta = act[go], rad[go], ra[go], ta[go]
-            c_prev, c_curr, rpow = c_prev[go], c_curr[go], rpow[go]
-            run, abs_run, loud = run[go], abs_run[go], loud[go]
-            if not act.size:
-                break
-            live, live_of = np.unique(rad, return_inverse=True)
+            act, run, abs_run, loud = act[go], run[go], abs_run[go], loud[go]
+            rad, ra, xr, rpow = _in_use(rad[go], ra, xr, rpow)
+            ang, ta, c_prev, c_curr = _in_use(ang[go], ta, c_prev, c_curr)
     if act.size:
         warnings.warn("kernel series truncated at the term cap before "
                       "reaching the tail tolerance", TruncationWarning)
@@ -251,12 +330,6 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
                                       float(t_u[t_of[i]]), delta, cap,
                                       dps=dps)
     return out[inv].reshape(r.shape)
-
-
-def poisson_hyp_series(x: BallPoint, xi, delta: float, **kw):
-    xi = np.asarray(xi, dtype=float)
-    out = poisson_hyp_series_rt(x.n, x.r, float(x.zeta @ xi), delta, **kw)
-    return float(np.asarray(out).reshape(()))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ def gauss_Fl_at_one(l: int, n: int) -> float:
 def _series_block(a: float, b: float, c: float, x, term, total, k0: int,
                   m: int):
     """Terms k0+1 .. k0+m of the 2F1 series and the partial sums through
-    them, continuing from term k0 and the sum through it (one row per point).
+    them, continuing from term k0 and the sum through it (one row per point;
+    a and c are scalars or columns with one entry per row).
 
     Each row repeats the recurrence term * ratio_k * x multiplication for
     multiplication, as a running product over (term, ratio_k0, x,
@@ -87,10 +88,12 @@ def _first_block(x, tol: float) -> int:
     return min(_SERIES_BLOCK, max(8, math.ceil(math.log(tol) / math.log(xm))))
 
 
-def _series_2f1(a: float, b: float, c: float, x, tol: float, cap: int,
+def _series_2f1(a, b: float, c, x, tol: float, cap: int,
                 floor: float = 1.0):
     """Power series for 2F1(a, b; c; x), vectorized over x, in the precision
-    of x (double, or long double for a long-double x).
+    of x (double, or long double for a long-double x). a and c may be
+    per-point arrays, broadcast against x; each point then does exactly the
+    arithmetic of a call with its own scalar a and c.
 
     Terminates exactly when b is a nonpositive integer, summed term by term.
     Otherwise each point stops on its own: its value is the partial sum
@@ -99,10 +102,15 @@ def _series_2f1(a: float, b: float, c: float, x, tol: float, cap: int,
     makes the stop purely relative. Terms are summed in blocks (see
     _first_block) that double up to _SERIES_BLOCK_MAX terms, on at most
     _SERIES_ROWS points at a time; points that stopped leave the next block.
-    Raises NonConvergence when a point has not stopped within cap terms.
+    Raises NonConvergence, naming the (a, b, c) of one such point, when a
+    point has not stopped within cap terms.
     """
     x = np.asarray(x)
     x = x.astype(np.result_type(x, float), copy=False)
+    per_point = isinstance(a, np.ndarray) or isinstance(c, np.ndarray)
+    if per_point:
+        x, a, c = np.broadcast_arrays(x, a, c)
+        a, c = a.ravel(), c.ravel()
     flat = x.ravel()
     if b <= 0 and float(b).is_integer():
         m, real = int(-b), x.dtype.type
@@ -118,12 +126,13 @@ def _series_2f1(a: float, b: float, c: float, x, tol: float, cap: int,
         term = total = 1.0
         k0, m = 0, _first_block(flat[rows], tol)
         while rows.size:
+            ar, cr = (a[rows, None], c[rows, None]) if per_point else (a, c)
             if k0 >= cap:
                 raise NonConvergence(
-                    f"2F1({a},{b};{c}) series did not converge within {cap} "
-                    "terms")
+                    f"2F1({np.ravel(ar)[0]},{b};{np.ravel(cr)[0]}) series "
+                    f"did not converge within {cap} terms")
             m = min(m, cap - k0)
-            terms, sums = _series_block(a, b, c, flat[rows], term, total,
+            terms, sums = _series_block(ar, b, cr, flat[rows], term, total,
                                         k0, m)
             done = np.abs(terms) <= tol * np.maximum(np.abs(sums), floor)
             first = done.argmax(axis=1)

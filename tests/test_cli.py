@@ -84,6 +84,16 @@ class TestKernel:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_radial_series_cap_exit_3(self, capsys):
+        # at r = 0.9999 the odd-n F_l(r^2) series needs more terms than its
+        # cap from degree 44 on: one error line naming that 2F1, no rows
+        code, out, err = run_cli(capsys, "kernel", "--kind", "hyp-delta",
+                                 "--n", "3", "--r", "0.9999", "--delta", "1")
+        assert code == 3
+        assert out == ""
+        assert err == ("error: 2F1(44,-0.5;45.5) series did not converge "
+                       "within 100000 terms\n")
+
     def test_series_below_radius_limit(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -347,7 +347,8 @@ class TestSeries:
 
     def test_grids_match_loop(self):
         # r x t broadcast grids: one sum per distinct pair over an active
-        # set gives the reference loop's values bit for bit
+        # set, in blocks of degrees, gives the reference loop's values bit
+        # for bit
         r = np.array([0.0, 0.3, 0.6, 0.8, 0.95])[:, None]
         t = np.concatenate([np.linspace(-1.0, 1.0, 13),
                             np.random.default_rng(5).uniform(-1, 1, 4)])
@@ -360,6 +361,23 @@ class TestSeries:
                 assert got.shape == want.shape == (5, 17)
                 assert np.array_equal(got, want), (n, delta)
                 assert got_cut == want_cut, (n, delta)
+        # more pairs than one block's cell budget holds at the first block's
+        # degree count, so that blocks are cut short and rows are long
+        t = np.linspace(-1.0, 1.0, 5000)
+        assert t.size * ker._BLOCK_FIRST > ker._BLOCK_CELLS
+        assert t.size > ker._LONG_ROW
+        got = ker.poisson_hyp_series_rt(5, 0.6, t, 0.5)
+        assert np.array_equal(got, series_loop(5, 0.6, t, 0.5))
+
+    def test_block_past_every_stop_fails_to_converge(self):
+        # at delta^2 = 0.9998 the odd-n F_l(delta^2) series exceeds its term
+        # cap from degree 44 on, past where every r = 0.3 pair stops; the
+        # block that reaches it is redone degree by degree, as in the loop
+        t = np.linspace(-1.0, 1.0, 9)
+        got = ker.poisson_hyp_series_rt(3, 0.3, t, 0.9999)
+        assert np.array_equal(got, series_loop(3, 0.3, t, 0.9999))
+        with pytest.raises(NonConvergence):
+            ker.poisson_hyp_series_rt(3, 0.9, t, 0.9999)
 
     def test_duplicated_permuted_and_subset_pairs(self):
         rng = np.random.default_rng(11)
@@ -381,12 +399,15 @@ class TestSeries:
                 full[sub])
 
     def test_truncated_call_matches_loop(self):
+        # caps on both sides of the first two block edges (degrees 0..cap)
         t = np.array([-0.2, 0.4, 0.4])
-        with pytest.warns(TruncationWarning):
-            got = ker.poisson_hyp_series_rt(5, 0.95, t, 0.5, cap=10)
-        with pytest.warns(TruncationWarning):
-            want = series_loop(5, 0.95, t, 0.5, cap=10)
-        assert np.array_equal(got, want)
+        b = ker._BLOCK_FIRST
+        for cap in (10, b - 1, b, b + 1, 3 * b - 1, 3 * b, 3 * b + 1):
+            with pytest.warns(TruncationWarning):
+                got = ker.poisson_hyp_series_rt(5, 0.95, t, 0.5, cap=cap)
+            with pytest.warns(TruncationWarning):
+                want = series_loop(5, 0.95, t, 0.5, cap=cap)
+            assert np.array_equal(got, want), cap
 
     def test_flagged_angle_repeated_evaluated_once(self, monkeypatch):
         calls = []
@@ -457,8 +478,13 @@ class TestSeries:
             ker.poisson_hyp_series_rt(6, 0.95, -0.2, 1.0, cap=10)
 
     def test_ballpoint_wrapper(self):
+        def poisson_hyp_series(x, xi, delta, **kw):
+            out = ker.poisson_hyp_series_rt(x.n, x.r, float(x.zeta @ xi),
+                                            delta, **kw)
+            return float(np.asarray(out).reshape(()))
+
         x = BallPoint(0.5, e1(3))
-        v = ker.poisson_hyp_series(x, e1(3), 1.0)
+        v = poisson_hyp_series(x, e1(3), 1.0)
         assert v == pytest.approx(ker.poisson_hyp(x, e1(3)), rel=1e-10)
 
 

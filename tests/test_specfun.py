@@ -185,6 +185,36 @@ class TestRadialFamily:
             sf._series_2f1(2, -0.5, 3.5, np.array([0.1, 0.9]),
                            sf.SERIES_TOL, k - 1)
 
+    def test_per_point_parameters_match_scalar_calls(self):
+        # rows with their own (a, c), in double and in long double, equal a
+        # call per row with scalar a and c: terminating (b = -1, -2) and
+        # not (b = -0.5, 0.5), with rows stopping in different blocks
+        xs = np.array([0.0, 0.05, 0.3, 0.78, 0.8, 0.9, 0.98])
+        a = np.arange(1, 200, 13)
+        grid = np.broadcast_shapes(a[:, None].shape, xs.shape)
+        for b in (-1.0, -2.0, -0.5, 0.5):
+            c = a + 1.5 - b
+            for dtype in (float, np.longdouble):
+                x = xs.astype(dtype)
+                got = sf._series_2f1(a[:, None], b, c[:, None], x,
+                                     sf.SERIES_TOL, sf.SERIES_CAP)
+                want = [[sf._series_2f1(int(ai), b, float(ci), x[[j]],
+                                        sf.SERIES_TOL, sf.SERIES_CAP)[0]
+                         for j in range(x.size)] for ai, ci in zip(a, c)]
+                assert got.shape == grid and got.dtype == x.dtype
+                assert np.array_equal(got, want), (b, dtype)
+        # terms taken per row span several blocks of the series
+        terms = [series_2f1_loop(float(ai), 0.5, ai + 1.0, float(x))[1]
+                 for ai in a for x in xs]
+        assert min(terms) < 8 and max(terms) > 200
+        # a row past the cap names its own scalar parameters
+        a, c = np.array([2, 5, 7]), np.array([3.5, 6.5, 8.5])
+        with pytest.raises(NonConvergence) as caught:
+            sf._series_2f1(a, -0.5, c, np.array([0.1, 0.99, 0.99]),
+                           sf.SERIES_TOL, 100)
+        assert str(caught.value) == ("2F1(5,-0.5;6.5) series did not "
+                                     "converge within 100 terms")
+
     def test_terminating_series_matches_loop(self):
         xs = np.linspace(0.0, 1.0, 11)
         for n in (4, 6, 8):
