@@ -184,7 +184,8 @@ def cmd_functional(args) -> int:
     data, _ = hm.load_boundary_data(args.data)
     u = hm.extend(data)
     grid = fn.functional_grid(u.n, degree=config.grid_degree,
-                              ladder_depth=config.ladder_depth, pole=u.pole)
+                              ladder_depth=config.ladder_depth, pole=u.pole,
+                              full=u.kind == "sph3")
     # overflow shows as a non-finite value, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if args.kind == "M":

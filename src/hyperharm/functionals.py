@@ -20,7 +20,7 @@ from scipy.special import roots_legendre
 
 from . import geometry as geo
 from . import harmonic as hm
-from .errors import QuadratureFailure
+from .errors import QuadratureFailure, UnsupportedRequest
 from .geometry import BallPoint, ConeRegion, SphereGrid
 
 
@@ -111,6 +111,16 @@ class FunctionalResult:
 # evaluator adapters
 
 
+def _require_fit(u, grid: FunctionalGrid) -> None:
+    """Refuse u that the grid's zonal-only rule cannot integrate (sph3 u, or
+    zonal u about another pole); a plain callable must fit its grid."""
+    b = grid.boundary
+    if isinstance(u, hm.HarmonicFunction) and b.zonal_only and (
+            u.kind != "zonal" or not np.allclose(u.pole, b.pole)):
+        raise UnsupportedRequest("a zonal-only boundary grid integrates only "
+                                 "functions zonal about its pole")
+
+
 def _values(u, pts: np.ndarray) -> np.ndarray:
     if hasattr(u, "eval_points"):
         return np.asarray(u.eval_points(pts), dtype=float)
@@ -157,6 +167,7 @@ def _radial_deriv_sq_func(u, n: int, h: float = 1e-5):
 
 def radial_max(u, grid: FunctionalGrid) -> FunctionalResult:
     """Radial maximal function: per node, max |u| along the ladder."""
+    _require_fit(u, grid)
     nodes = grid.boundary.nodes
     radii = grid.radii
     pts = (radii[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
@@ -195,6 +206,7 @@ def _split(vals: np.ndarray, parts) -> list:
 def cone_max(u, alpha: float, grid: FunctionalGrid) -> FunctionalResult:
     """Non-tangential maximal function over the approach region of aperture
     alpha, truncated at the ladder top."""
+    _require_fit(u, grid)
     out = []
     for vgs, nodes in _cone_grids(alpha, grid, grid.cone, len(grid.radii)):
         # the radial ray lies in every approach region; include the ladder
@@ -216,6 +228,7 @@ def area_integral(u, alpha: float, grid: FunctionalGrid,
     """Area functional: square root of the cone integral of |grad u|^2 (or
     |Nu|^2 when radial_only) against (1-|x|^2)^(-n+2). The cone resolution is
     refined until the values settle to refine_tol."""
+    _require_fit(u, grid)
     n = grid.boundary.nodes.shape[1]
     q = _radial_deriv_sq_func(u, n) if radial_only else _grad_sq_func(u, n)
 
@@ -251,6 +264,7 @@ def littlewood_paley_g(u, grid: FunctionalGrid,
     instead, for comparison."""
     if form not in ("squared", "paper-literal"):
         raise ValueError("form must be 'squared' or 'paper-literal'")
+    _require_fit(u, grid)
     nodes = grid.boundary.nodes
     n = nodes.shape[1]
     q = _radial_deriv_sq_func(u, n) if radial_only else _grad_sq_func(u, n)

@@ -3,7 +3,9 @@ every hooked attribute still resolves to a callable, the F_l cache still
 reports its hits, and traced kernel and extension calls give a finite
 number for every per-layer metric that BENCHMARK.json names, with every
 counter hook run. A hook that no longer resolves makes its metrics null,
-which the benchmark's result line cannot carry."""
+which the benchmark's result line cannot carry. The kernel-series workload
+also reads report-prop18.txt; its status and constants must still hold the
+benchmark's reference values."""
 
 import importlib
 import importlib.util
@@ -92,3 +94,21 @@ def test_traced_call_gives_every_layer_metric():
     for name in ("specfun.fl_deriv.points", "specfun.route.series.points",
                  "specfun.route.euler.points"):
         assert layer[name]["value"] > 0, name
+
+
+def test_prop18_report_matches_benchmark_reference(tmp_path):
+    from hyperharm import cli
+    doc = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    ref = doc["values"]["kernel-series"]["42"]
+    code = cli.main(["verify", "prop18", "--n", "4", "--seed", "42",
+                     "--out", str(tmp_path)])
+    assert code == ref["prop18.exit_code"]
+    with open(tmp_path / "report-prop18.txt") as fh:
+        report = json.load(fh)
+    assert report["status"] == ref["prop18.status"]
+    consts = {k: v for k, v in ref.items() if k.startswith("prop18.")
+              and k not in ("prop18.exit_code", "prop18.status")}
+    assert consts
+    for key, want in consts.items():
+        got = report["constants"][key[len("prop18."):]]
+        assert abs(got - want) <= doc["rtol"] * abs(want) + doc["atol"], key

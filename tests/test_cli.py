@@ -324,6 +324,33 @@ class TestFunctional:
                              "--out", str(tmp_path / "f.csv"))
         assert code == 2
 
+    def _sph3_norm(self, capsys, tmp_path, kind, coeffs):
+        path = tmp_path / "sph3.json"
+        path.write_text(json.dumps({"kind": "sph3-coeffs", "n": 3,
+                                    "coeffs": coeffs}))
+        code, out, _ = run_cli(capsys, "functional", "--kind", kind,
+                               "--data", str(path),
+                               "--out", str(tmp_path / "f.csv"), "--p", "1",
+                               "--grid-degree", "16")
+        assert code == 0
+        return float(out.strip().splitlines()[1].split(",")[2])
+
+    def test_sph3_data_on_full_grid(self, capsys, tmp_path):
+        # u proportional to x3 vanishes on every node of the zonal grid
+        # about x1, where its M norm read 3e-17
+        m = self._sph3_norm(capsys, tmp_path, "M", [[0], [0, 1, 0]])
+        assert m == pytest.approx(0.2438, rel=1e-3)
+
+    @pytest.mark.parametrize("kind,rel", [("M", 0.03), ("g", 1e-9)])
+    def test_sph3_rotation_invariance(self, capsys, tmp_path, kind, rel):
+        # the same degree-1 harmonic along x3, x1 and x2; M takes its
+        # maximum at the nodes only, so it moves with the grid
+        c = 2 ** -0.5
+        norms = [self._sph3_norm(capsys, tmp_path, kind, coeffs) for coeffs in
+                 ([[0], [0, 1, 0]], [[0], [c, 0, -c]],
+                  [[0], [[0, c], 0, [0, c]]])]
+        assert max(norms) == pytest.approx(min(norms), rel=rel)
+
     @pytest.mark.parametrize("p", ["inf", "nan"])
     def test_non_finite_p_exit_2(self, capsys, tmp_path, p):
         data = write_zonal(tmp_path, [1.0])

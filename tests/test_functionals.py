@@ -10,7 +10,7 @@ from hyperharm import functionals as fn
 from hyperharm import geometry as geo
 from hyperharm import harmonic as hm
 from hyperharm import kernels as ker
-from hyperharm.errors import QuadratureFailure
+from hyperharm.errors import QuadratureFailure, UnsupportedRequest
 from hyperharm.geometry import BallPoint, ConeRegion
 
 
@@ -91,6 +91,25 @@ class TestGrid:
         with pytest.raises(ValueError):
             fn.FunctionalGrid(fn.functional_grid(3).boundary,
                               np.array([0.5, 0.4]))
+
+    def test_zonal_grid_refuses_what_it_cannot_integrate(self):
+        # a zonal-only grid meets sph3 u, or zonal u about another pole
+        sph3 = hm.extend(hm.Sph3Expansion([np.zeros(1), np.array([0, 1, 0])]))
+        other = hm.extend(hm.ZonalExpansion(3, e_vec(3, 1), [0.0, 1.0]))
+        grid = small_grid(3, degree=8, ladder_depth=4)
+        calls = (lambda u: fn.radial_max(u, grid),
+                 lambda u: fn.cone_max(u, 0.5, grid),
+                 lambda u: fn.area_integral(u, 0.5, grid),
+                 lambda u: fn.littlewood_paley_g(u, grid))
+        for call in calls:
+            for u in (sph3, other):
+                with pytest.raises(UnsupportedRequest):
+                    call(u)
+            # a plain callable is taken as fitting the grid it is given
+            call(lambda pts, _u=other: _u.eval_points(pts))
+        full = small_grid(3, degree=8, ladder_depth=4, full=True)
+        for u in (sph3, other):
+            assert fn.radial_max(u, full).quasinorm(1.0) > 0.1
 
 
 class TestRadialMax:
@@ -310,7 +329,8 @@ class TestBatchedMatchesLoop:
             for pole in (None, off):
                 grid = fn.functional_grid(n, degree=6, ladder_depth=6,
                                           pole=pole, cone=self.CONE)
-                yield u, grid
+                if pole is off:  # u fits only the zonal grid about its pole
+                    yield u, grid
                 yield plain, grid
             # a boundary grid without a pole: each cone frames on its node
             b = grid.boundary
