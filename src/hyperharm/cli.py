@@ -18,7 +18,6 @@ import warnings
 import numpy as np
 
 from . import functionals as fn
-from . import geometry as geo
 from . import harmonic as hm
 from . import kernels as ker
 from . import verify as vf
@@ -134,12 +133,6 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _sample_points(u: hm.HarmonicFunction, degree: int, depth: int):
-    grid = geo.sphere_quadrature(u.n, degree, pole=u.pole)
-    radii = 1.0 - 0.5 ** np.arange(1, depth + 1)
-    return grid.nodes, radii
-
-
 def _require_finite(values, what: str) -> None:
     """Refuse a result that overflowed, before anything is written."""
     if not np.all(np.isfinite(values)):
@@ -154,12 +147,14 @@ def cmd_extend(args) -> int:
                           ladder_depth=args.ladder_depth)
     data, _ = hm.load_boundary_data(args.data)
     u = hm.extend(data, delta=args.delta)
-    nodes, radii = _sample_points(u, config.grid_degree, config.ladder_depth)
+    # sph3 data has no pole, so it is sampled on the full n = 3 grid
+    grid = fn.functional_grid(u.n, config.grid_degree, config.ladder_depth,
+                              pole=u.pole, full=u.kind == "sph3")
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["r"] + [f"x{i + 1}" for i in range(u.n)] + ["u"])
-    for r in radii:
-        pts = r * nodes
+    for r in grid.radii:
+        pts = r * grid.boundary.nodes
         # overflow shows as a non-finite value, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             vals = u.eval_points(pts)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -78,7 +78,6 @@ class FunctionalResult:
     kind: str
     grid: FunctionalGrid
     values: np.ndarray
-    _norms: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -88,12 +87,9 @@ class FunctionalResult:
     def quasinorm(self, p: float) -> float:
         if not 0.0 < p < math.inf:
             raise ValueError("p must be finite and positive")
-        if p not in self._norms:
-            w = self.grid.boundary.weights
-            # numpy pairwise summation keeps the reduction deterministic
-            self._norms[p] = float(np.sum(w * np.abs(self.values) ** p)
-                                   ** (1.0 / p))
-        return self._norms[p]
+        w = self.grid.boundary.weights
+        # numpy pairwise summation keeps the reduction deterministic
+        return float(np.sum(w * np.abs(self.values) ** p) ** (1.0 / p))
 
     def write_csv(self, path: str) -> None:
         nodes = self.grid.boundary.nodes
@@ -127,7 +123,11 @@ def _values(u, pts: np.ndarray) -> np.ndarray:
     return np.asarray(u(pts), dtype=float)
 
 
-def _grad_sq_func(u, n: int, h: float = 1e-5):
+# step of the central differences taken on a plain callable u
+_FD_STEP = 1e-5
+
+
+def _grad_sq_func(u, n: int):
     if isinstance(u, hm.HarmonicFunction):
         return hm.gradient_sq(u)
 
@@ -136,15 +136,15 @@ def _grad_sq_func(u, n: int, h: float = 1e-5):
         out = np.zeros(len(pts))
         for i in range(n):
             e = np.zeros(n)
-            e[i] = h
-            d = (_values(u, pts + e) - _values(u, pts - e)) / (2.0 * h)
+            e[i] = _FD_STEP
+            d = (_values(u, pts + e) - _values(u, pts - e)) / (2.0 * _FD_STEP)
             out += d ** 2
         return out
 
     return fd
 
 
-def _radial_deriv_sq_func(u, n: int, h: float = 1e-5):
+def _radial_deriv_sq_func(u, n: int):
     """|Nu|^2 = (r d_r u)^2 as a point function."""
     if isinstance(u, hm.HarmonicFunction):
         Nu = hm.apply_N(u)
@@ -154,8 +154,8 @@ def _radial_deriv_sq_func(u, n: int, h: float = 1e-5):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         unit = pts / np.where(r > 0, r, 1.0)[:, None]
-        d = (_values(u, pts + h * unit) - _values(u, pts - h * unit)) \
-            / (2.0 * h)
+        d = (_values(u, pts + _FD_STEP * unit)
+             - _values(u, pts - _FD_STEP * unit)) / (2.0 * _FD_STEP)
         return (r * d) ** 2
 
     return fd

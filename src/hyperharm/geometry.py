@@ -306,13 +306,10 @@ def sphere_quadrature(n: int, degree: int, full: bool = False,
 
 @dataclass(frozen=True)
 class VolumeGrid:
-    """Points in the ball with Lebesgue weights, for volume integrals. The
-    two_direction flag marks grids exact only for integrands depending on at
-    most two fixed directions (always exact for n = 3)."""
+    """Points in the ball with Lebesgue weights, for volume integrals."""
 
     points: np.ndarray
     weights: np.ndarray
-    two_direction: bool = False
 
     def integrate(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
@@ -361,7 +358,7 @@ def ball_quadrature(n: int, center, radius: float, n_radial: int = 24,
 
     pts = center[None, None, :] + rho[:, None, None] * dirs[None, :, :]
     wts = rhow[:, None] * dw[None, :]
-    return VolumeGrid(pts.reshape(-1, n), wts.ravel(), two_direction=(n > 3))
+    return VolumeGrid(pts.reshape(-1, n), wts.ravel())
 
 
 def cone_quadrature(region: ConeRegion, n: int, r_max: float,
@@ -408,4 +405,4 @@ def cone_quadrature(region: ConeRegion, n: int, r_max: float,
     d = t[:, :, None, None] * xi + rt[:, :, None, None] * ang
     pts = r[:, None, None, None] * d
     wts = (wr[:, None] * wt)[:, :, None] * s_w
-    return VolumeGrid(pts.reshape(-1, n), wts.ravel(), two_direction=True)
+    return VolumeGrid(pts.reshape(-1, n), wts.ravel())

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln, roots_legendre, sph_harm_y
 
+from . import geometry as geo
 from . import specfun as sf
 from .errors import (DataFileError, OriginSingularity, QuadratureFailure,
                      UnsupportedDimension)
@@ -112,12 +113,12 @@ class RadialPart:
                                     _P.polymul(p, [0.0, shift]))
         return self._with(out)
 
-    def _shift_down(self, k: int, tol: float = 1e-9) -> "RadialPart":
+    def _shift_down(self, k: int) -> "RadialPart":
         scale = max((np.max(np.abs(p)) for p in self.polys), default=0.0)
         out = []
         for p in self.polys:
             head = p[:k]
-            if scale > 0.0 and np.any(np.abs(head) > tol * scale):
+            if scale > 0.0 and np.any(np.abs(head) > 1e-9 * scale):
                 raise OriginSingularity(
                     "radial part does not vanish to the required order at 0")
             out.append(p[k:] if len(p) > k else np.zeros(1))
@@ -344,17 +345,11 @@ def project_zonal(func, n: int, lmax: int, degree: int | None = None
     projected sphere measure; c_l = int phi Z_l dnu / Z_l(1)."""
     if degree is None:
         degree = 2 * lmax + 16
-    m = degree // 2 + 1
-    from scipy.special import roots_gegenbauer, roots_legendre as _rl
-    if n == 3:
-        t, w = _rl(m)
-        w = w / 2.0
-    else:
-        t, w = roots_gegenbauer(m, (n - 2) / 2.0)
-        w = w / w.sum()
+    grid = geo.sphere_quadrature(n, degree)
+    t = grid.nodes @ grid.pole
     vals = np.asarray(func(t), dtype=float)
     Z = sf.zonal_all(lmax, n, t)
-    c = (Z * vals) @ w
+    c = (Z * vals) @ grid.weights
     z1 = np.array([sf.zonal_at_one(l, n) for l in range(lmax + 1)])
     return c / z1
 
@@ -675,13 +670,15 @@ def fd_order(f, points, n: int, delta: float = 1.0,
 # radial inversion of the derivative relation
 
 
-def invert_N_from_ray(v_func, r: float, n: int, k: int,
-                      tol: float = 1e-9, max_doublings: int = 10) -> float:
+def invert_N_from_ray(v_func, r: float, n: int, k: int) -> float:
     """Recover N^k u(r zeta) from v(t) = 2(n-1-k) N^k u(t zeta) +
     (1-t^2) N^{k+1} u(t zeta) by the integral formula
 
         N^k u(r) = ((1-r^2)/r^2)^(n-1-k)
-                   int_0^r v(t) t^(2n-3-2k) (1-t^2)^(k-n) dt.
+                   int_0^r v(t) t^(2n-3-2k) (1-t^2)^(k-n) dt,
+
+    on 16-node Gauss-Legendre panels graded toward t = r, four more panels
+    per round, until two rounds agree to 1e-9 relative (ten rounds at most).
     """
     a = 2 * n - 3 - 2 * k
 
@@ -691,7 +688,7 @@ def invert_N_from_ray(v_func, r: float, n: int, k: int,
     xg, wg = roots_legendre(16)
     prev = None
     panels = 4
-    for _ in range(max_doublings):
+    for _ in range(10):
         edges = r * (1.0 - 0.5 ** np.arange(panels + 1))
         edges[-1] = r
         total = 0.0
@@ -699,8 +696,8 @@ def invert_N_from_ray(v_func, r: float, n: int, k: int,
             half = 0.5 * (hi - lo)
             ts = lo + half * (xg + 1.0)
             total += half * float(wg @ integrand(ts))
-        if prev is not None and abs(total - prev) <= tol * max(abs(total),
-                                                              1e-30):
+        if prev is not None and abs(total - prev) <= 1e-9 * max(abs(total),
+                                                               1e-30):
             pref = ((1.0 - r ** 2) / r ** 2) ** (n - 1 - k)
             return pref * total
         prev = total

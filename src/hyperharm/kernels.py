@@ -52,23 +52,18 @@ def poisson_hyp(x: BallPoint, xi) -> float:
 _LD = np.longdouble
 # pair x degree cells of one block of the kernel series at most, and the
 # degrees of its first block; later blocks double within the cell budget.
-# Rows (pairs) longer than _LONG_ROW are accumulated one row at a time, and
-# one F_l call takes at most _F_ROWS (radius, degree) rows of odd n.
+# Rows (pairs) longer than _LONG_ROW are accumulated one row at a time.
 _BLOCK_CELLS = 1 << 14
 _BLOCK_FIRST = 8
 _LONG_ROW = 1024
-_F_ROWS = 64
 
 
 def _Fl_at(l, n: int, x) -> np.ndarray:
     """F_l at the double-precision arguments x, as a longdouble array: the
     shared 2F1 series in long double, each point stopping once a term falls
     to 1e-21 of its partial sum (exactly, as a polynomial, for even n).
-    The degree l may be an integer array; x is then broadcast against it,
-    so that the series sees one argument per value."""
+    The degree l may be an integer array, broadcast against x."""
     x = np.asarray(x, dtype=_LD)
-    if isinstance(l, np.ndarray):
-        x = np.broadcast_to(x, np.broadcast_shapes(l.shape, x.shape))
     return sf._series_2f1(l, 1.0 - n / 2.0, l + n / 2.0, x, 1e-21,
                           sf.SERIES_CAP, floor=0.0)
 
@@ -207,9 +202,8 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
     angle, and each pair's running sums as in-order accumulations, so the
     values are bit for bit those of a sum degree by degree. The first block
     has _BLOCK_FIRST degrees and each next one twice as many, within
-    _BLOCK_CELLS pair x degree cells; large batches thus take short blocks.
-    With the F_l calls of odd n cut to _F_ROWS rows, this bounds the work
-    arrays.
+    _BLOCK_CELLS pair x degree cells; large batches thus take short blocks,
+    and the F_l series bounds its own work arrays.
 
     Each (r, t) pair stops on its own once five consecutive terms fall below
     SERIES_TAIL_TOL, and where its terms cancelled by more than
@@ -261,11 +255,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
             # degree past every pair's stop may fail to converge where the
             # per-degree sum never reached it, so retry degree by degree
             try:
-                # an odd-n row sums up to 1024 terms a step (specfun's
-                # _SERIES_BLOCK_MAX), so a call takes at most _F_ROWS rows
-                k = m if n % 2 == 0 else max(1, _F_ROWS // ra.size)
-                num = np.concatenate([_Fl_at(ls[i:i + k, None], n, xr)
-                                      for i in range(0, m, k)])
+                num = _Fl_at(ls[:, None], n, xr)
                 den = fl1[ls] if delta == 1.0 else np.array(
                     [_Fl_scalar(int(l), n, float(d2)) for l in ls], _LD)
             except NonConvergence:

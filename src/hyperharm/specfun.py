@@ -25,12 +25,10 @@ SERIES_CAP = 100_000
 # where the power series slows to a crawl.
 _SERIES_X_MAX = 0.9
 
-# Block sizes of the series (terms in the first block at most, terms per
-# block at most) and the points summed together; they bound its work arrays
-# to about 16 MB in double and 32 MB in long double.
+# Terms in the first block of the series at most, and point x term cells
+# in any block at most; the cells bound its work arrays to a few MB.
 _SERIES_BLOCK = 64
-_SERIES_BLOCK_MAX = 1024
-_SERIES_ROWS = 1024
+_SERIES_CELLS = 1 << 14
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -71,18 +69,18 @@ def _series_block(a: float, b: float, c: float, x, term, total, k0: int,
     seq[:, 0] = term
     seq[:, 1::2] = (a + k) * (b + k) / ((c + k) * (k + 1.0))
     seq[:, 2::2] = x[:, None]
-    terms = np.cumprod(seq, axis=1)[:, 2::2]
+    terms = np.cumprod(seq, axis=1, out=seq)[:, 2::2]
     sums = np.empty((x.size, m + 1), dtype=x.dtype)
     sums[:, 0] = total
     sums[:, 1:] = terms
-    return terms, np.cumsum(sums, axis=1)[:, 1:]
+    return terms, np.cumsum(sums, axis=1, out=sums)[:, 1:]
 
 
 def _first_block(x, tol: float) -> int:
     """Terms in the first block: where |x|^k alone falls to tol for the
     largest |x|, at least 8 and at most _SERIES_BLOCK, so that most points
     stop in it without summing many terms past their own stop."""
-    xm = float(np.max(np.abs(x)))
+    xm = float(np.max(np.abs(x), initial=0.0))
     if not (0.0 < tol < 1.0 and 0.0 < xm < 1.0):
         return _SERIES_BLOCK
     return min(_SERIES_BLOCK, max(8, math.ceil(math.log(tol) / math.log(xm))))
@@ -100,8 +98,10 @@ def _series_2f1(a, b: float, c, x, tol: float, cap: int,
     through its first term with |term| <= tol * max(|partial sum|, floor),
     so it does not depend on the other points evaluated with it; floor 0
     makes the stop purely relative. Terms are summed in blocks (see
-    _first_block) that double up to _SERIES_BLOCK_MAX terms, on at most
-    _SERIES_ROWS points at a time; points that stopped leave the next block.
+    _first_block) that double, each within _SERIES_CELLS point x term
+    cells; points that stopped leave the next block. A row's running
+    product and sum carry over from block to block, so where the blocks
+    split does not change its bits.
     Raises NonConvergence, naming the (a, b, c) of one such point, when a
     point has not stopped within cap terms.
     """
@@ -121,39 +121,36 @@ def _series_2f1(a, b: float, c, x, tol: float, cap: int,
             total = total + term
         return total.reshape(x.shape)
     out = np.empty_like(flat)
-    for lo in range(0, flat.size, _SERIES_ROWS):
-        rows = np.arange(lo, min(lo + _SERIES_ROWS, flat.size))
-        term = total = 1.0
-        k0, m = 0, _first_block(flat[rows], tol)
-        while rows.size:
-            ar, cr = (a[rows, None], c[rows, None]) if per_point else (a, c)
-            if k0 >= cap:
-                raise NonConvergence(
-                    f"2F1({np.ravel(ar)[0]},{b};{np.ravel(cr)[0]}) series "
-                    f"did not converge within {cap} terms")
-            m = min(m, cap - k0)
-            terms, sums = _series_block(ar, b, cr, flat[rows], term, total,
-                                        k0, m)
-            done = np.abs(terms) <= tol * np.maximum(np.abs(sums), floor)
-            first = done.argmax(axis=1)
-            stop = done[np.arange(rows.size), first]
-            out[rows[stop]] = sums[stop, first[stop]]
-            rows = rows[~stop]
-            term, total = terms[~stop, -1], sums[~stop, -1]
-            k0 += m
-            m = min(2 * m, _SERIES_BLOCK_MAX)
+    rows = np.arange(flat.size)
+    term = total = 1.0
+    k0, step = 0, _first_block(flat, tol)
+    while rows.size:
+        ar, cr = (a[rows, None], c[rows, None]) if per_point else (a, c)
+        if k0 >= cap:
+            raise NonConvergence(
+                f"2F1({np.ravel(ar)[0]},{b};{np.ravel(cr)[0]}) series "
+                f"did not converge within {cap} terms")
+        m = max(1, min(step, cap - k0, _SERIES_CELLS // rows.size))
+        terms, sums = _series_block(ar, b, cr, flat[rows], term, total, k0, m)
+        done = np.abs(terms) <= tol * np.maximum(np.abs(sums), floor)
+        first = done.argmax(axis=1)
+        stop = done[np.arange(rows.size), first]
+        out[rows[stop]] = sums[stop, first[stop]]
+        rows = rows[~stop]
+        term, total = terms[~stop, -1], sums[~stop, -1]
+        k0, step = k0 + m, 2 * step
     return out.reshape(x.shape)
 
 
 @lru_cache(maxsize=1)
-def _euler_panels(nodes_per_panel: int = 12, depth: int = 40):
-    """Composite Gauss-Legendre rule on [0,1) with panels refined
-    geometrically toward t = 1, so integrands with endpoint scales down to
-    ~2^-depth are resolved uniformly."""
-    xg, wg = roots_legendre(nodes_per_panel)
+def _euler_panels():
+    """Composite Gauss-Legendre rule on [0,1), 12 nodes on each of 40 panels
+    refined geometrically toward t = 1, so integrands with endpoint scales
+    down to ~2^-40 are resolved uniformly."""
+    xg, wg = roots_legendre(12)
     ts, ws = [], []
     lo = 0.0
-    for j in range(depth):
+    for j in range(40):
         hi = 1.0 - 0.5 ** (j + 1)
         half = 0.5 * (hi - lo)
         ts.append(lo + half * (xg + 1.0))
@@ -178,8 +175,7 @@ def _euler_2f1(a: float, b: float, c: float, x):
     return pref * integral
 
 
-def fl_deriv(l: int, n: int, x, order: int = 1,
-             tol: float = SERIES_TOL, cap: int = SERIES_CAP):
+def fl_deriv(l: int, n: int, x, order: int = 1):
     """order-th derivative of f_l(x) = F_l(x) / F_l(1) for x in [0, 1], with
     F_l(x) = 2F1(l, 1 - n/2; l + n/2; x); order 0 is f_l itself, exactly 1
     at x = 1 and for l = 0.
@@ -205,8 +201,8 @@ def fl_deriv(l: int, n: int, x, order: int = 1,
         euler = todo & (x > _SERIES_X_MAX) & (not terminating)
         series = todo & ~euler
         if series.any():
-            out[series] = pref * _series_2f1(a, b, c, x[series], tol,
-                                             cap) / norm
+            out[series] = pref * _series_2f1(a, b, c, x[series], SERIES_TOL,
+                                             SERIES_CAP) / norm
         if euler.any():
             out[euler] = pref * _euler_2f1(a, b, c, x[euler]) / norm
     return float(out) if out.ndim == 0 else out

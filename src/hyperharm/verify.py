@@ -115,10 +115,11 @@ def suite_kernel_consistency(config: RunConfig) -> SuiteReport:
             h = ker.poisson_hyp_rt(n, r, t)
             s0 = ker.poisson_hyp_series_rt(n, r, t, 0.0)
             e = ker.poisson_euclid_rt(n, r, t)
-            residuals.append(max(float(np.max(np.abs(s1 - h) / h)),
-                                 float(np.max(np.abs(s0 - e) / e))))
-    worst = max(residuals)
-    mass_err = 0.0
+            residuals.append(float(np.maximum(np.max(np.abs(s1 - h) / h),
+                                              np.max(np.abs(s0 - e) / e))))
+    # np.max, unlike max, keeps a NaN, so that the check fails on it
+    worst = float(np.max(residuals))
+    mass_errs = []
     for n in (3, 4, 5, 6):
         grid = geo.sphere_quadrature(n, 300)
         t = grid.nodes @ grid.pole
@@ -126,7 +127,8 @@ def suite_kernel_consistency(config: RunConfig) -> SuiteReport:
             for r in (0.3, 0.6, 0.9):
                 v = ker.poisson_hyp_series_rt(n, r, t, delta,
                                               mp_amplification=np.inf)
-                mass_err = max(mass_err, abs(grid.integrate(v) - 1.0))
+                mass_errs.append(abs(grid.integrate(v) - 1.0))
+    mass_err = float(np.max(mass_errs))
     return SuiteReport(
         suite="kernel-consistency",
         checks=[Check("max_relative_residual", worst, "<=", 1e-8),
@@ -282,15 +284,15 @@ def suite_mean_value(config: RunConfig) -> SuiteReport:
     zeta /= np.linalg.norm(zeta)
     ms = np.arange(1, 11)
     ladder = np.array([(1.0 - 0.5 ** m) * zeta for m in ms])
-    ladder_max = [max(ratios) for ratios in
+    ladder_max = [float(np.max(ratios)) for ratios in
                   _mean_value_ratios(datas[0], ladder, eps, pole)]
     tail = ms >= 4
     slope = float(np.polyfit(ms[tail] * math.log(2.0),
                              np.log(np.asarray(ladder_max)[tail]), 1)[0])
 
     # refinement: halving epsilon keeps ratios finite
-    half_eps_max = max(_mean_value_ratios(datas[0], (0.5 * zeta)[None],
-                                          eps / 2.0, pole)[0])
+    half_eps_max = float(np.max(_mean_value_ratios(
+        datas[0], (0.5 * zeta)[None], eps / 2.0, pole)[0]))
 
     # constant data: the ratio is the fixed normalization of the ball mean
     const_u = hm.extend(hm.ZonalExpansion(n, pole, [1.0]))
@@ -395,15 +397,16 @@ def suite_operator_identities(config: RunConfig) -> SuiteReport:
             want = Nk.eval_rt(r, 1.0)
             res_inv.append(abs(got - want) / max(abs(want), 1.0))
 
-    constants = {"commutator_max": max(res_comm),
-                 "recursion1_max": max(res_rec1),
-                 "recursion2_max": max(res_rec2),
-                 "inversion_roundtrip_max": max(res_inv)}
+    constants = {"commutator_max": float(np.max(res_comm)),
+                 "recursion1_max": float(np.max(res_rec1)),
+                 "recursion2_max": float(np.max(res_rec2)),
+                 "inversion_roundtrip_max": float(np.max(res_inv))}
     return SuiteReport(
         suite="operator-identities",
         checks=[Check(k, constants[k], "<=", 1e-8) for k in
                 ("commutator_max", "recursion1_max", "recursion2_max")]
-        + [Check("inversion_roundtrip_max", max(res_inv), "<=", 1e-6)],
+        + [Check("inversion_roundtrip_max",
+                 constants["inversion_roundtrip_max"], "<=", 1e-6)],
         constants={**constants, "identity_residual_mean":
                    float(np.mean(res_comm + res_rec1 + res_rec2))},
         seed=config.seed,
@@ -414,17 +417,14 @@ def suite_operator_identities(config: RunConfig) -> SuiteReport:
 # suite: kernel comparison bounds
 
 
-def _kernel_ratio_max(n: int, deltas, r_grid, t_grid) -> float:
-    """Largest ratio of the delta-kernel to the Euclidean kernel over the
-    r_grid x t_grid samples, one series call per delta."""
+def _kernel_ratio_max(n: int, deltas, r_grid, t_grid) -> np.ndarray:
+    """Per delta, the largest ratio of the delta-kernel to the Euclidean
+    kernel over the r_grid x t_grid samples, one series call per delta."""
     r = np.asarray(r_grid)[:, None]
     e = ker.poisson_euclid_rt(n, r, t_grid)
-    worst = 0.0
-    for delta in deltas:
-        v = ker.poisson_hyp_series_rt(n, r, t_grid, delta,
-                                      mp_amplification=np.inf)
-        worst = max(worst, float(np.max(v / e)))
-    return worst
+    return np.array([np.max(ker.poisson_hyp_series_rt(
+        n, r, t_grid, delta, mp_amplification=np.inf) / e)
+        for delta in deltas])
 
 
 def suite_prop18(config: RunConfig) -> SuiteReport:
@@ -436,18 +436,18 @@ def suite_prop18(config: RunConfig) -> SuiteReport:
     deltas = (0.0, 0.25, 0.5, 0.75, 1.0)
     r_grid = np.array([0.2, 0.5, 0.8, 0.95])
     t_grid = np.linspace(-1.0, 1.0, 41)
-    c_base = _kernel_ratio_max(n, deltas, r_grid, t_grid)
+    base = _kernel_ratio_max(n, deltas, r_grid, t_grid)
+    c_base = float(np.max(base))
     r2_grid = np.sort(np.concatenate([r_grid, [0.35, 0.65, 0.875, 0.925]]))
     t2_grid = np.linspace(-1.0, 1.0, 81)
-    c_fine = _kernel_ratio_max(n, deltas, r2_grid, t2_grid)
+    c_fine = float(np.max(_kernel_ratio_max(n, deltas, r2_grid, t2_grid)))
     drift = abs(c_fine - c_base) / c_base
 
     # delta = 0 gives ratio exactly 1; on the axis the ratio is (1+r)^(n-2)
-    axis_err = 0.0
-    for r in r_grid:
-        got = ker.poisson_hyp_rt(n, r, 1.0) / ker.poisson_euclid_rt(n, r, 1.0)
-        axis_err = max(axis_err, abs(got - (1.0 + r) ** (n - 2)))
-    zero_err = abs(_kernel_ratio_max(n, (0.0,), r_grid, t_grid) - 1.0)
+    axis_err = float(np.max([
+        abs(ker.poisson_hyp_rt(n, r, 1.0) / ker.poisson_euclid_rt(n, r, 1.0)
+            - (1.0 + r) ** (n - 2)) for r in r_grid]))
+    zero_err = abs(float(base[deltas.index(0.0)]) - 1.0)
 
     # in-cone lower bound: positivity of P_{h,delta} (1-|x|^2)^(n-1), the
     # nodes of all four cones in one series call per delta, each node at
@@ -597,7 +597,7 @@ def suite_hardy_sobolev(config: RunConfig) -> SuiteReport:
                 if ratios:
                     results[f"n{n}-k{k}-{a}/{b}"] = \
                         max(ratios) / min(ratios)
-    spread = max(results.values())
+    spread = float(np.max(list(results.values())))
     return SuiteReport(
         suite="hardy-sobolev",
         checks=[Check("max_band_spread", spread, "finite")],
@@ -696,7 +696,7 @@ def suite_lipschitz(config: RunConfig) -> SuiteReport:
         lambda l, rad: rad.diff_r().diff_r().diff_r())
     zyg = [(1.0 - r) * float(np.max(np.abs(d3.eval_rt(r, tg))))
            for r in 1.0 - 0.5 ** np.arange(2, 12)]
-    zyg_ratio = max(zyg) / max(zyg[0], 1e-300)
+    zyg_ratio = float(np.max(zyg)) / max(zyg[0], 1e-300)
 
     return SuiteReport(
         suite="lipschitz",

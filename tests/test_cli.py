@@ -2,7 +2,9 @@
 codes, and cross-command consistency."""
 
 import csv
+import importlib
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -148,6 +150,23 @@ class TestExtend:
             checked += 1
         assert checked > 0
 
+    def test_sph3_data_on_full_grid(self, capsys, tmp_path):
+        # u = Y_1^0 is proportional to x3, so samples confined to the
+        # x1-x2 plane would all read zero
+        path = tmp_path / "sph3.json"
+        path.write_text(json.dumps({"kind": "sph3-coeffs", "n": 3,
+                                    "coeffs": [[0], [0, 1, 0]]}))
+        out_path = tmp_path / "ext.csv"
+        code, _, err = run_cli(capsys, "extend", "--data", str(path),
+                               "--out", str(out_path),
+                               "--grid-degree", "8", "--ladder-depth", "2")
+        assert code == 0, err
+        with open(out_path) as fh:
+            rows = np.array([[float(c) for c in r]
+                             for r in list(csv.reader(fh))[1:]])
+        assert np.max(np.abs(rows[:, 3])) > 0.0
+        assert np.max(np.abs(rows[:, 4])) > 0.1
+
     def test_malformed_data_exit_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "zonal-coeffs", "n": 3}))
@@ -268,6 +287,19 @@ class TestBoundaryData:
                                      "--ladder-depth", "4")
             assert code == 0, err
         assert kinds == ["zonal-coeffs", "zonal-samples", "sph3-coeffs"]
+
+
+class TestReadme:
+    def test_cited_private_names_resolve(self):
+        # a tuning constant the README cites as `module._NAME` still exists
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        cited = set(re.findall(r"`(\w+)\.(_\w+)`", readme))
+        assert ("kernels", "_BLOCK_CELLS") in cited
+        missing = [f"{mod}.{name}" for mod, name in sorted(cited)
+                   if not hasattr(importlib.import_module(f"hyperharm.{mod}"),
+                                  name)]
+        assert not missing
 
 
 class TestFunctional:

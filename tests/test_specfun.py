@@ -167,7 +167,8 @@ class TestRadialFamily:
         assert any(60 <= k <= 68 for k in terms)
 
     def test_series_many_points(self):
-        # more points than one row chunk of the blocked sum
+        # enough points that the cell budget cuts the first blocks short
+        # (six terms each at 2,500 points)
         xs = np.random.default_rng(3).uniform(0.0, 0.9, 2500)
         got = sf._series_2f1(3.0, -1.5, 7.5, xs, sf.SERIES_TOL,
                              sf.SERIES_CAP)
@@ -214,6 +215,37 @@ class TestRadialFamily:
                            sf.SERIES_TOL, 100)
         assert str(caught.value) == ("2F1(5,-0.5;6.5) series did not "
                                      "converge within 100 terms")
+
+    @pytest.mark.parametrize("cells", [1, 64])
+    def test_cell_budget_keeps_bits(self, monkeypatch, cells):
+        # scalar and per-point (a, c), in double and long double, with
+        # points stopping in different blocks: a smaller budget splits the
+        # blocks elsewhere but leaves every value, and a failure, as it was
+        xs = np.concatenate([np.linspace(0.0, 0.98, 40), [0.01, 0.5, 0.9]])
+        ls = np.arange(1, 120, 9)[:, None]
+        cases = [((2, -0.5, 3.5), xs), ((200.0, -20.5, 221.5), xs),
+                 ((ls, -0.5, ls + 2.0), xs),
+                 ((ls, -1.5, ls + 2.5), xs.astype(np.longdouble))]
+        want = [sf._series_2f1(a, b, c, x, sf.SERIES_TOL, sf.SERIES_CAP)
+                for (a, b, c), x in cases]
+        bad = (np.array([2, 5, 7]), -0.5, np.array([3.5, 6.5, 8.5]))
+        with pytest.raises(NonConvergence) as caught:
+            sf._series_2f1(*bad, np.array([0.1, 0.99, 0.99]),
+                           sf.SERIES_TOL, 100)
+        monkeypatch.setattr(sf, "_SERIES_CELLS", cells)
+        for ((a, b, c), x), w in zip(cases, want):
+            got = sf._series_2f1(a, b, c, x, sf.SERIES_TOL, sf.SERIES_CAP)
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+        with pytest.raises(NonConvergence) as again:
+            sf._series_2f1(*bad, np.array([0.1, 0.99, 0.99]),
+                           sf.SERIES_TOL, 100)
+        assert str(again.value) == str(caught.value)
+
+    def test_empty_points(self):
+        for x in (np.array([]), np.empty((0, 3), np.longdouble)):
+            got = sf._series_2f1(2.0, -0.5, 3.5, x, sf.SERIES_TOL,
+                                 sf.SERIES_CAP)
+            assert got.shape == x.shape and got.dtype == x.dtype
 
     def test_terminating_series_matches_loop(self):
         xs = np.linspace(0.0, 1.0, 11)

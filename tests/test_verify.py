@@ -130,6 +130,22 @@ class TestFastSuites:
         assert rep.status == "pass"
 
 
+class TestNanReachesGate:
+    def test_nan_mass_error_fails(self, monkeypatch):
+        # a NaN at one delta of the unit-mass loop must not vanish in the
+        # running maximum
+        series = vf.ker.poisson_hyp_series_rt
+
+        def nan_at_half(n, r, t, delta, **kw):
+            out = series(n, r, t, delta, **kw)
+            return np.full_like(out, np.nan) if delta == 0.5 else out
+
+        monkeypatch.setattr(vf.ker, "poisson_hyp_series_rt", nan_at_half)
+        rep = vf.suite_kernel_consistency(CFG)
+        assert math.isnan(rep.constants["max_unit_mass_error"])
+        assert rep.status == "fail"
+
+
 class TestDeterminism:
     def test_operator_suite_reports_identical(self):
         a = vf.suite_operator_identities(RunConfig(seed=5))
