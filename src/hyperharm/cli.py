@@ -68,9 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--out", required=True)
     pf.add_argument("--alpha", type=float, default=0.5)
     pf.add_argument("--p", type=float, default=1.0)
-    pf.add_argument("--grid-degree", type=int, default=None)
-    pf.add_argument("--ladder-depth", type=int, default=None)
-    pf.add_argument("--config", default=None)
+    pf.add_argument("--grid-degree", type=int, default=48)
+    pf.add_argument("--ladder-depth", type=int, default=18)
 
     pv = sub.add_parser("verify", help="run verification suites and write "
                                        "reports")
@@ -79,22 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--config", default=None)
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--lmax", type=int, default=None)
-    pv.add_argument("--alpha", type=float, action="append", default=None)
+    pv.add_argument("--alpha", type=float, default=None)
     pv.add_argument("--p", type=float, action="append", default=None)
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--out", default=None)
     return parser
-
-
-def _load_config(path: str | None, **overrides) -> RunConfig:
-    base = RunConfig.load(path) if path else RunConfig()
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    if not fields:
-        return base
-    try:
-        return dataclasses.replace(base, **fields)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def cmd_kernel(args) -> int:
@@ -140,16 +128,24 @@ def _require_finite(values, what: str) -> None:
                             f"too large to evaluate")
 
 
+def _grid(args, u) -> fn.FunctionalGrid:
+    """The boundary grid and dyadic ladder of extend and functional, from
+    their --grid-degree and --ladder-depth flags."""
+    if args.grid_degree < 2:
+        raise UsageError("grid degree must be at least 2")
+    # from depth 54 on, the ladder top 1 - 2^-depth rounds to 1.0
+    if not 1 <= args.ladder_depth <= 53:
+        raise UsageError("ladder depth must lie in [1, 53]")
+    # sph3 data has no pole, so it is sampled on the full n = 3 grid
+    return fn.functional_grid(u.n, args.grid_degree, args.ladder_depth,
+                              pole=u.pole, full=u.kind == "sph3")
+
+
 def cmd_extend(args) -> int:
     if not 0.0 < args.delta <= 1.0:
         raise UsageError("delta must lie in (0, 1]")
-    config = _load_config(None, grid_degree=args.grid_degree,
-                          ladder_depth=args.ladder_depth)
-    data, _ = hm.load_boundary_data(args.data)
-    u = hm.extend(data, delta=args.delta)
-    # sph3 data has no pole, so it is sampled on the full n = 3 grid
-    grid = fn.functional_grid(u.n, config.grid_degree, config.ladder_depth,
-                              pole=u.pole, full=u.kind == "sph3")
+    u = hm.extend(hm.load_boundary_data(args.data), delta=args.delta)
+    grid = _grid(args, u)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["r"] + [f"x{i + 1}" for i in range(u.n)] + ["u"])
@@ -174,13 +170,8 @@ def cmd_functional(args) -> int:
         raise UsageError("aperture must lie in (0, 1)")
     if not 0.0 < args.p < np.inf:
         raise UsageError("p must be finite and positive")
-    config = _load_config(args.config, grid_degree=args.grid_degree,
-                          ladder_depth=args.ladder_depth)
-    data, _ = hm.load_boundary_data(args.data)
-    u = hm.extend(data)
-    grid = fn.functional_grid(u.n, degree=config.grid_degree,
-                              ladder_depth=config.ladder_depth, pole=u.pole,
-                              full=u.kind == "sph3")
+    u = hm.extend(hm.load_boundary_data(args.data))
+    grid = _grid(args, u)
     # overflow shows as a non-finite value, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if args.kind == "M":
@@ -192,10 +183,9 @@ def cmd_functional(args) -> int:
         elif args.kind == "SN":
             result = fn.area_integral(u, args.alpha, grid, radial_only=True)
         elif args.kind == "g":
-            result = fn.littlewood_paley_g(u, grid, form=config.g_form)
+            result = fn.littlewood_paley_g(u, grid)
         else:
-            result = fn.littlewood_paley_g(u, grid, radial_only=True,
-                                           form=config.g_form)
+            result = fn.littlewood_paley_g(u, grid, radial_only=True)
         norm = result.quasinorm(args.p)
     _require_finite(np.append(result.values, norm),
                     f"the {args.kind} functional")
@@ -206,11 +196,16 @@ def cmd_functional(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(
-        args.config, n=args.n, lmax=args.lmax,
-        alphas=tuple(args.alpha) if args.alpha else None,
-        ps=tuple(args.p) if args.p else None, seed=args.seed,
-        out_dir=args.out)
+    base = RunConfig.load(args.config) if args.config else RunConfig()
+    flags = dict(n=args.n, lmax=args.lmax, alpha=args.alpha,
+                 ps=tuple(args.p) if args.p else None, seed=args.seed,
+                 out_dir=args.out)
+    try:
+        # flags override the file's values
+        config = dataclasses.replace(
+            base, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     names = list(vf.SUITES) if args.suites == ["all"] else args.suites
     unknown = [s for s in names if s not in vf.SUITES]
     if unknown:

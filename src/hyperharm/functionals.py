@@ -5,7 +5,9 @@ Functionals are computed over a shared FunctionalGrid: a boundary grid, a
 dyadic radial ladder approaching the boundary, and a cone-quadrature
 resolution for the approach regions. Each evaluates u on the points of
 many boundary nodes together (up to _POINT_BUDGET points; once per sweep of
-the area integral's refinement), so a plain callable u must act pointwise.
+the area integral's refinement). The maximal functionals also take a plain
+callable u, which must act pointwise; the square functionals need a
+HarmonicFunction, whose |grad u|^2 and Nu they take exactly.
 """
 
 from __future__ import annotations
@@ -123,42 +125,15 @@ def _values(u, pts: np.ndarray) -> np.ndarray:
     return np.asarray(u(pts), dtype=float)
 
 
-# step of the central differences taken on a plain callable u
-_FD_STEP = 1e-5
-
-
-def _grad_sq_func(u, n: int):
-    if isinstance(u, hm.HarmonicFunction):
+def _square_func(u, radial_only: bool):
+    """|grad u|^2, or |Nu|^2 = (r d_r u)^2 when radial_only, as a point
+    function, exact on u's mode form."""
+    if not isinstance(u, hm.HarmonicFunction):
+        raise TypeError("the square functionals need a HarmonicFunction u")
+    if not radial_only:
         return hm.gradient_sq(u)
-
-    def fd(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(len(pts))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = _FD_STEP
-            d = (_values(u, pts + e) - _values(u, pts - e)) / (2.0 * _FD_STEP)
-            out += d ** 2
-        return out
-
-    return fd
-
-
-def _radial_deriv_sq_func(u, n: int):
-    """|Nu|^2 = (r d_r u)^2 as a point function."""
-    if isinstance(u, hm.HarmonicFunction):
-        Nu = hm.apply_N(u)
-        return lambda pts: np.asarray(Nu.eval_points(pts)) ** 2
-
-    def fd(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        unit = pts / np.where(r > 0, r, 1.0)[:, None]
-        d = (_values(u, pts + _FD_STEP * unit)
-             - _values(u, pts - _FD_STEP * unit)) / (2.0 * _FD_STEP)
-        return (r * d) ** 2
-
-    return fd
+    Nu = hm.apply_N(u)
+    return lambda pts: np.asarray(Nu.eval_points(pts)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +198,13 @@ def cone_max(u, alpha: float, grid: FunctionalGrid) -> FunctionalResult:
 
 def area_integral(u, alpha: float, grid: FunctionalGrid,
                   radial_only: bool = False,
-                  refine_tol: float = 1e-3,
-                  max_refine: int = 2) -> FunctionalResult:
+                  refine_tol: float = 1e-3) -> FunctionalResult:
     """Area functional: square root of the cone integral of |grad u|^2 (or
     |Nu|^2 when radial_only) against (1-|x|^2)^(-n+2). The cone resolution is
-    refined until the values settle to refine_tol."""
+    doubled, at most twice, until the values settle to refine_tol."""
     _require_fit(u, grid)
     n = grid.boundary.nodes.shape[1]
-    q = _radial_deriv_sq_func(u, n) if radial_only else _grad_sq_func(u, n)
+    q = _square_func(u, radial_only)
 
     def sweep(spec):
         out = []
@@ -244,7 +218,7 @@ def area_integral(u, alpha: float, grid: FunctionalGrid,
 
     spec = grid.cone
     prev = sweep(spec)
-    for _ in range(max_refine):
+    for _ in range(2):
         spec = spec.doubled()
         cur = sweep(spec)
         scale = max(float(np.max(cur)), 1e-300)
@@ -256,21 +230,15 @@ def area_integral(u, alpha: float, grid: FunctionalGrid,
 
 
 def littlewood_paley_g(u, grid: FunctionalGrid,
-                       radial_only: bool = False,
-                       form: str = "squared") -> FunctionalResult:
+                       radial_only: bool = False) -> FunctionalResult:
     """Ray square function: per node xi, the square root of the integral of
     |grad u(t xi)|^2 (1-t^2) dt (or |Nu|^2 when radial_only) over the ladder
-    range [0, r_M]. form="paper-literal" integrates |grad u| unsquared
-    instead, for comparison."""
-    if form not in ("squared", "paper-literal"):
-        raise ValueError("form must be 'squared' or 'paper-literal'")
+    range [0, r_M]. The paper's formula is read with |grad u| squared, as
+    for the area functional."""
     _require_fit(u, grid)
     nodes = grid.boundary.nodes
     n = nodes.shape[1]
-    q = _radial_deriv_sq_func(u, n) if radial_only else _grad_sq_func(u, n)
-    if form == "paper-literal":
-        base = q
-        q = lambda pts: np.sqrt(np.maximum(base(pts), 0.0))
+    q = _square_func(u, radial_only)
     xg, wg = roots_legendre(8)
     edges = np.concatenate([[0.0], grid.radii])
     ts, tw = [], []
@@ -292,10 +260,11 @@ def littlewood_paley_g(u, grid: FunctionalGrid,
 # fractional ray integral
 
 
-def ray_integral_Il(f, l: float, x: BallPoint, tol: float = 1e-10,
-                    max_doublings: int = 12) -> float:
+def ray_integral_Il(f, l: float, x: BallPoint) -> float:
     """I_l f at r zeta: integral over [0, r] of f(t zeta) (1-t)^(l-1) dt,
-    with panels refined toward t = r where the weight steepens for l < 1."""
+    with panels refined toward t = r where the weight steepens for l < 1.
+    From 4 panels, the count doubles (at most 11 times) until successive
+    values agree to 1e-10 times max(|value|, 1)."""
     r = x.r
     if r == 0.0:
         return 0.0
@@ -312,7 +281,7 @@ def ray_integral_Il(f, l: float, x: BallPoint, tol: float = 1e-10,
     xg, wg = roots_legendre(12)
     panels = 4
     prev = None
-    for _ in range(max_doublings):
+    for _ in range(12):
         edges = r * (1.0 - 0.5 ** np.arange(panels + 1))
         edges[-1] = r
         total = 0.0
@@ -320,8 +289,8 @@ def ray_integral_Il(f, l: float, x: BallPoint, tol: float = 1e-10,
             half = 0.5 * (hi - lo)
             t = lo + half * (xg + 1.0)
             total += half * float(wg @ integrand(t))
-        if prev is not None and abs(total - prev) <= tol * max(abs(total),
-                                                              1.0):
+        if prev is not None and abs(total - prev) <= 1e-10 * max(abs(total),
+                                                                1.0):
             return total
         prev = total
         panels *= 2

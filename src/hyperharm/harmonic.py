@@ -339,13 +339,11 @@ def random_zonal(n: int, lmax: int, rng: np.random.Generator,
     return ZonalExpansion(n, pole, c)
 
 
-def project_zonal(func, n: int, lmax: int, degree: int | None = None
-                  ) -> np.ndarray:
-    """Coefficients of phi(t) in the zonal basis by quadrature against the
-    projected sphere measure; c_l = int phi Z_l dnu / Z_l(1)."""
-    if degree is None:
-        degree = 2 * lmax + 16
-    grid = geo.sphere_quadrature(n, degree)
+def project_zonal(func, n: int, lmax: int) -> np.ndarray:
+    """Coefficients of phi(t) in the zonal basis by quadrature of degree
+    2 lmax + 16 against the projected sphere measure;
+    c_l = int phi Z_l dnu / Z_l(1)."""
+    grid = geo.sphere_quadrature(n, 2 * lmax + 16)
     t = grid.nodes @ grid.pole
     vals = np.asarray(func(t), dtype=float)
     Z = sf.zonal_all(lmax, n, t)
@@ -364,13 +362,11 @@ def _finite_array(value, name: str) -> np.ndarray:
     return arr
 
 
-def load_boundary_data(source) -> tuple:
-    """Parse boundary data from a JSON file path, JSON text, or dict.
-
-    Returns (expansion, seed) where expansion is ZonalExpansion or
-    Sph3Expansion. Schema: {"n": int, "kind": "zonal-coeffs" |
-    "zonal-samples" | "sph3-coeffs", "pole": [...], "coeffs" | "samples":
-    ..., "seed": optional int}.
+def load_boundary_data(source) -> "ZonalExpansion | Sph3Expansion":
+    """Parse boundary data from a JSON file path, JSON text, or dict into a
+    ZonalExpansion or Sph3Expansion. Schema: {"n": int, "kind":
+    "zonal-coeffs" | "zonal-samples" | "sph3-coeffs", "pole": [...],
+    "coeffs" | "samples": ...}.
     """
     if isinstance(source, dict):
         doc = source
@@ -392,7 +388,6 @@ def load_boundary_data(source) -> tuple:
         raise DataFileError("boundary data needs integer 'n' and 'kind'")
     if n < 3:
         raise DataFileError("dimension must be at least 3")
-    seed = doc.get("seed")
     pole = _finite_array(doc.get("pole", [1.0] + [0.0] * (n - 1)), "pole")
     if pole.shape != (n,):
         raise DataFileError("pole length must match the dimension")
@@ -406,7 +401,7 @@ def load_boundary_data(source) -> tuple:
         coeffs = _finite_array(doc["coeffs"], "coeffs")
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise DataFileError("coeffs must be a nonempty list of numbers")
-        return ZonalExpansion(n, pole, coeffs), seed
+        return ZonalExpansion(n, pole, coeffs)
     if kind == "zonal-samples":
         if "samples" not in doc:
             raise DataFileError("kind zonal-samples requires 'samples'")
@@ -421,7 +416,7 @@ def load_boundary_data(source) -> tuple:
             return np.interp(t, ts, vs)
 
         coeffs = project_zonal(interp, n, lmax)
-        return ZonalExpansion(n, pole, coeffs), seed
+        return ZonalExpansion(n, pole, coeffs)
     if kind == "sph3-coeffs":
         if n != 3:
             raise DataFileError("sph3-coeffs requires n = 3")
@@ -442,7 +437,7 @@ def load_boundary_data(source) -> tuple:
             if len(row) != 2 * l + 1:
                 raise DataFileError(f"degree {l} row must have {2*l+1} "
                                     "entries")
-        return Sph3Expansion(tuple(packed)), seed
+        return Sph3Expansion(tuple(packed))
     raise DataFileError(f"unknown boundary-data kind {kind!r}")
 
 

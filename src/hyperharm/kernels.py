@@ -52,10 +52,8 @@ def poisson_hyp(x: BallPoint, xi) -> float:
 _LD = np.longdouble
 # pair x degree cells of one block of the kernel series at most, and the
 # degrees of its first block; later blocks double within the cell budget.
-# Rows (pairs) longer than _LONG_ROW are accumulated one row at a time.
 _BLOCK_CELLS = 1 << 14
 _BLOCK_FIRST = 8
-_LONG_ROW = 1024
 
 
 def _Fl_at(l, n: int, x) -> np.ndarray:
@@ -162,16 +160,11 @@ def _series_point_mp(n: int, r: float, t: float, delta: float,
 def _running(op, carry, rows):
     """The running op (np.add, np.multiply, np.maximum) down the rows,
     seeded by carry: row j is op(...op(op(carry, rows[0]), rows[1])...,
-    rows[j]), in order. Long rows take one vectorized step each; short ones
-    one accumulate call, whose cost per column would dominate long rows."""
+    rows[j]), in order."""
     out = np.empty(rows.shape, dtype=rows.dtype)
     op(carry, rows[0], out=out[0])
-    if rows.shape[1] > _LONG_ROW:
-        for j in range(1, len(rows)):
-            op(out[j - 1], rows[j], out=out[j])
-    else:
-        out[1:] = rows[1:]
-        op.accumulate(out, axis=0, out=out)
+    out[1:] = rows[1:]
+    op.accumulate(out, axis=0, out=out)
     return out
 
 
@@ -522,13 +515,13 @@ def calibrate_eta_constant(n: int, r: float = 0.0) -> float:
 
 
 def transfer_integral(func, r: float, n: int, c: float | None = None,
-                      tol: float = 1e-10, m0: int = 24,
-                      max_doublings: int = 6) -> float:
+                      tol: float = 1e-10) -> float:
     """int_0^1 eta(r, s) func(s) ds by Gauss-Jacobi in s (the exact endpoint
-    weights of eta), with node doubling until the value settles."""
+    weights of eta), from 24 nodes, doubled at most six times until the
+    value settles."""
     prev = None
-    m = m0
-    for _ in range(max_doublings + 1):
+    m = 24
+    for _ in range(7):
         # weight (1-x)^a (1+x)^b on [-1,1]; s=(1+x)/2 gives
         # (1-s)^a s^b ds = ((1-x)/2)^a ((1+x)/2)^b dx/2
         a, b = n / 2.0 - 2.0, n / 2.0 - 1.0

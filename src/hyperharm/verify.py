@@ -494,14 +494,13 @@ def suite_prop18(config: RunConfig) -> SuiteReport:
 # suites: norm-equivalence bands
 
 
-def _norm_set(u, grid: fn.FunctionalGrid, alpha: float, ps,
-              g_form: str) -> dict:
+def _norm_set(u, grid: fn.FunctionalGrid, alpha: float, ps) -> dict:
     out = {}
     m = fn.cone_max(u, alpha, grid)
     s = fn.area_integral(u, alpha, grid, refine_tol=0.05)
     sN = fn.area_integral(u, alpha, grid, radial_only=True, refine_tol=0.05)
-    g = fn.littlewood_paley_g(u, grid, form=g_form)
-    gN = fn.littlewood_paley_g(u, grid, radial_only=True, form=g_form)
+    g = fn.littlewood_paley_g(u, grid)
+    gN = fn.littlewood_paley_g(u, grid, radial_only=True)
     for p in ps:
         out[p] = {"Malpha": m.quasinorm(p), "S": s.quasinorm(p),
                   "SN": sN.quasinorm(p), "g": g.quasinorm(p),
@@ -509,9 +508,11 @@ def _norm_set(u, grid: fn.FunctionalGrid, alpha: float, ps,
     return out
 
 
-def _band_spread(norms_by_u, p, a, b) -> float:
-    ratios = [nm[p][a] / nm[p][b] for nm in norms_by_u
-              if nm[p][b] > 1e-12 and nm[p][a] > 1e-12]
+def _band_spread(norms, a, b) -> float:
+    """max/min of the ratio of norms a to b over the functions, one dict of
+    norms each; NaN when no function has both above 1e-12."""
+    ratios = [nm[a] / nm[b] for nm in norms
+              if nm[b] > 1e-12 and nm[a] > 1e-12]
     return max(ratios) / min(ratios) if ratios else float("nan")
 
 
@@ -521,13 +522,13 @@ def _theoremA_pass(config: RunConfig, degree: int, cone: fn.ConeSpec,
     for n, funcs in families.items():
         grid = fn.functional_grid(n, degree=degree, ladder_depth=12,
                                   cone=cone)
-        norms = [_norm_set(u, grid, config.alphas[-1], config.ps,
-                           config.g_form) for u in funcs]
+        norms = [_norm_set(u, grid, config.alpha, config.ps) for u in funcs]
         keys = ("Malpha", "S", "SN", "g", "gN")
         for p in config.ps:
             for i, a in enumerate(keys):
                 for b in keys[i + 1:]:
-                    bands[(n, p, a, b)] = _band_spread(norms, p, a, b)
+                    bands[(n, p, a, b)] = _band_spread(
+                        [nm[p] for nm in norms], a, b)
     return bands
 
 
@@ -567,7 +568,7 @@ def suite_hardy_sobolev(config: RunConfig) -> SuiteReport:
         funcs = [_random_u(n, min(config.lmax, 6), rng) for _ in range(6)]
         grid = fn.functional_grid(n, degree=16, ladder_depth=12,
                                   cone=fn.ConeSpec(8, 3, 6, 6))
-        alpha = config.alphas[-1]
+        alpha = config.alpha
         norms = []
         for u in funcs:
             entry = {}
@@ -592,11 +593,9 @@ def suite_hardy_sobolev(config: RunConfig) -> SuiteReport:
         keys = sorted(norms[0])
         for i, a in enumerate(keys):
             for b in keys[i + 1:]:
-                ratios = [e[a] / e[b] for e in norms
-                          if e[b] > 1e-12 and e[a] > 1e-12]
-                if ratios:
-                    results[f"n{n}-k{k}-{a}/{b}"] = \
-                        max(ratios) / min(ratios)
+                band = _band_spread(norms, a, b)
+                if not math.isnan(band):
+                    results[f"n{n}-k{k}-{a}/{b}"] = band
     spread = float(np.max(list(results.values())))
     return SuiteReport(
         suite="hardy-sobolev",

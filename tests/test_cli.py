@@ -110,6 +110,24 @@ class TestKernel:
         assert code == 2
 
 
+# out-of-range --grid-degree and --ladder-depth of extend and functional;
+# from depth 54 on, the ladder top 1 - 2^-depth rounds to 1.0
+GRID_FLAGS = [("--ladder-depth", "0"), ("--ladder-depth", "-2"),
+              ("--grid-degree", "-4"), ("--ladder-depth", "54")]
+
+
+def assert_grid_flag_refused(capsys, tmp_path, command, flag):
+    data = write_zonal(tmp_path, [1.0, 0.5])
+    out_path = tmp_path / "out.csv"
+    argv = ["--kind", "M"] if command == "functional" else []
+    code, out, err = run_cli(capsys, command, *argv, "--data", data,
+                             "--out", str(out_path), *flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 class TestExtend:
     def test_constant_data(self, capsys, tmp_path):
         data = write_zonal(tmp_path, [1.0])
@@ -135,7 +153,7 @@ class TestExtend:
                              "--grid-degree", "8", "--ladder-depth", "10")
         assert code == 0
         from hyperharm import harmonic as hm
-        exp, _ = hm.load_boundary_data(data)
+        exp = hm.load_boundary_data(data)
         with open(out_path) as fh:
             rows = [r for r in csv.reader(fh)][1:]
         checked = 0
@@ -186,19 +204,9 @@ class TestExtend:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("flag", [("--ladder-depth", "0"),
-                                      ("--ladder-depth", "-2"),
-                                      ("--grid-degree", "-4")])
+    @pytest.mark.parametrize("flag", GRID_FLAGS)
     def test_grid_flags_out_of_range_exit_2(self, capsys, tmp_path, flag):
-        # the same rule as functional's flags, from RunConfig
-        data = write_zonal(tmp_path, [1.0, 0.5])
-        out_path = tmp_path / "ext.csv"
-        code, out, err = run_cli(capsys, "extend", "--data", data,
-                                 "--out", str(out_path), *flag)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out_path.exists()
+        assert_grid_flag_refused(capsys, tmp_path, "extend", flag)
 
 
 class TestUnwritableOutput:
@@ -383,6 +391,10 @@ class TestFunctional:
                   [[0], [[0, c], 0, [0, c]]])]
         assert max(norms) == pytest.approx(min(norms), rel=rel)
 
+    @pytest.mark.parametrize("flag", GRID_FLAGS)
+    def test_grid_flags_out_of_range_exit_2(self, capsys, tmp_path, flag):
+        assert_grid_flag_refused(capsys, tmp_path, "functional", flag)
+
     @pytest.mark.parametrize("p", ["inf", "nan"])
     def test_non_finite_p_exit_2(self, capsys, tmp_path, p):
         data = write_zonal(tmp_path, [1.0])
@@ -432,15 +444,35 @@ class TestVerify:
             (tmp_path / "r" / "report-operator-identities.txt").read_text())
         assert doc["seed"] == 9
 
-    @pytest.mark.parametrize("flag", [("--tol", "1e-3"),
-                                      ("--grid-degree", "8"),
-                                      ("--ladder-depth", "4")])
+    @pytest.mark.parametrize("flag", [("verify", "--tol", "1e-3"),
+                                      ("verify", "--grid-degree", "8"),
+                                      ("verify", "--ladder-depth", "4"),
+                                      ("functional", "--config", "c.json")])
     def test_removed_flags_exit_2(self, capsys, tmp_path, flag):
-        code, _, _ = run_cli(capsys, "verify", "green", *flag,
-                             "--out", str(tmp_path))
+        command, *rest = flag
+        argv = {"verify": ["green"],
+                "functional": ["--kind", "M", "--data",
+                               write_zonal(tmp_path, [1.0])]}[command]
+        code, _, err = run_cli(capsys, command, *argv, *rest,
+                               "--out", str(tmp_path / "out"))
         assert code == 2
+        assert "unrecognized arguments" in err
 
-    @pytest.mark.parametrize("key", ["tol", "measure_exponent"])
+    def test_alpha_reaches_suite(self, capsys, tmp_path):
+        reports = {}
+        for alpha in (None, "0.5", "0.3"):
+            out = tmp_path / str(alpha)
+            flags = ["--alpha", alpha] if alpha else []
+            code, _, _ = run_cli(capsys, "verify", "hardy-sobolev", *flags,
+                                 "--out", str(out))
+            assert code == 0
+            reports[alpha] = (out / "report-hardy-sobolev.txt").read_bytes()
+        assert reports["0.5"] == reports[None]
+        assert reports["0.3"] != reports[None]
+
+    @pytest.mark.parametrize("key", ["tol", "measure_exponent", "alphas",
+                                     "grid_degree", "ladder_depth",
+                                     "g_form"])
     def test_removed_config_keys_exit_3(self, capsys, tmp_path, key):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 1, key: 1}))
@@ -479,7 +511,7 @@ class TestVerify:
     @pytest.mark.parametrize("doc", [{"n": 3.5}, {"lmax": 2.5},
                                      {"seed": 1.5}, {"seed": "7"},
                                      {"seed": -3}, {"out_dir": 5},
-                                     {"ladder_depth": 4.5}, {"alphas": []},
+                                     {"alpha": 1.0}, {"alpha": "0.5"},
                                      {"ps": []}])
     def test_malformed_config_exit_3(self, capsys, tmp_path, doc):
         cfg_path = tmp_path / "cfg.json"

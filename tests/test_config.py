@@ -1,6 +1,10 @@
 """Tests for the run-configuration bundle."""
 
 import json
+import re
+from dataclasses import fields
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,14 +16,13 @@ class TestDefaults:
     def test_default_values(self):
         cfg = RunConfig()
         assert cfg.n == 3
-        assert cfg.alphas == (0.25, 0.5)
+        assert cfg.alpha == 0.5
         assert cfg.ps == (0.8, 1.0, 1.5)
         assert cfg.seed == 0
-        assert cfg.g_form == "squared"
 
     def test_tuple_coercion(self):
-        cfg = RunConfig(alphas=[0.3], ps=[1])
-        assert cfg.alphas == (0.3,)
+        cfg = RunConfig(alpha=Fraction(1, 4), ps=[1])
+        assert type(cfg.alpha) is float and cfg.alpha == 0.25
         assert cfg.ps == (1.0,)
 
 
@@ -27,13 +30,13 @@ class TestValidation:
     @pytest.mark.parametrize("kw", [
         {"n": 2},
         {"lmax": -1},
-        {"ladder_depth": 0},
-        {"grid_degree": 1},
-        {"alphas": (0.0,)},
-        {"alphas": (1.5,)},
+        {"alpha": float("nan")},
+        {"alpha": -0.5},
+        {"alpha": 0.0},
+        {"alpha": 1.5},
         {"ps": (0.0,)},
-        {"alphas": (0.5, 1.0)},
-        {"g_form": "other"},
+        {"alpha": 1.0},
+        {"alpha": float("inf")},
         {"ps": (float("inf"),)},
         {"ps": (1.0, float("nan"))},
         {"n": 3.5},
@@ -42,10 +45,10 @@ class TestValidation:
         {"seed": "7"},
         {"seed": -3},
         {"out_dir": 5},
-        {"ladder_depth": 4.5},
-        {"grid_degree": 48.0},
+        {"lmax": True},
+        {"lmax": 8.0},
         {"n": True},
-        {"alphas": ()},
+        {"seed": True},
         {"ps": []},
     ])
     def test_rejects(self, kw):
@@ -55,7 +58,7 @@ class TestValidation:
 
 class TestSerialization:
     def test_roundtrip(self):
-        cfg = RunConfig(n=4, seed=7, alphas=(0.4,), g_form="paper-literal")
+        cfg = RunConfig(n=4, seed=7, alpha=0.4, ps=(2.0,), out_dir="r")
         doc = json.loads(cfg.to_json())
         back = RunConfig.from_dict(doc)
         assert back == cfg
@@ -86,3 +89,17 @@ class TestSerialization:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DataFileError):
             RunConfig.load(str(tmp_path / "absent.json"))
+
+
+class TestReadme:
+    def test_configuration_paragraph_names_the_fields(self):
+        # the README's Configuration section names each RunConfig field in
+        # backticks, and none that RunConfig has dropped
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        section = readme.split("### Configuration\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        named = set(re.findall(r"`(\w+)`", section))
+        assert {f.name for f in fields(RunConfig)} <= named
+        assert not named & {"alphas", "grid_degree", "ladder_depth", "g_form",
+                            "tol", "measure_exponent"}

@@ -408,16 +408,16 @@ class TestDataIngestion:
     def test_zonal_coeffs_roundtrip(self):
         doc = {"n": 4, "kind": "zonal-coeffs", "pole": [0, 1, 0, 0],
                "coeffs": [1.0, 0.5, 0.25]}
-        data, seed = hm.load_boundary_data(doc)
-        assert seed is None
+        data = hm.load_boundary_data(doc)
         assert isinstance(data, hm.ZonalExpansion)
         assert np.allclose(data.coeffs, [1.0, 0.5, 0.25])
         assert np.allclose(data.pole, [0, 1, 0, 0])
 
-    def test_json_text_and_seed(self):
-        data, seed = hm.load_boundary_data(
-            '{"n": 3, "kind": "zonal-coeffs", "coeffs": [1], "seed": 7}')
-        assert seed == 7
+    def test_json_text(self):
+        data = hm.load_boundary_data(
+            '{"n": 3, "kind": "zonal-coeffs", "coeffs": [1]}')
+        assert isinstance(data, hm.ZonalExpansion)
+        assert np.array_equal(data.coeffs, [1.0])
 
     def test_zonal_samples_projection(self):
         # samples of a degree-2 zonal polynomial on a fine grid project back
@@ -426,7 +426,7 @@ class TestDataIngestion:
         doc = {"n": 3, "kind": "zonal-samples", "pole": [1, 0, 0],
                "samples": [[float(t), float(v)] for t, v in
                            zip(ts, target.boundary_value(ts))]}
-        data, _ = hm.load_boundary_data(doc)
+        data = hm.load_boundary_data(doc)
         assert np.allclose(data.coeffs[:3], [0.4, 0.0, 0.2], atol=1e-5)
         assert np.max(np.abs(data.coeffs[3:])) < 1e-5
 
@@ -434,7 +434,7 @@ class TestDataIngestion:
         doc = {"n": 3, "kind": "sph3-coeffs", "pole": [0, 0, 1],
                "coeffs": [[[1.0, 0.0]],
                           [[0.1, -0.2], [0.5, 0.0], [-0.1, -0.2]]]}
-        data, _ = hm.load_boundary_data(doc)
+        data = hm.load_boundary_data(doc)
         assert isinstance(data, hm.Sph3Expansion)
         u = hm.extend(data)
         x = BallPoint(0.4, np.array([0.0, 0.6, 0.8]))

@@ -362,10 +362,9 @@ class TestSeries:
                 assert np.array_equal(got, want), (n, delta)
                 assert got_cut == want_cut, (n, delta)
         # more pairs than one block's cell budget holds at the first block's
-        # degree count, so that blocks are cut short and rows are long
+        # degree count, so that blocks are cut short
         t = np.linspace(-1.0, 1.0, 5000)
         assert t.size * ker._BLOCK_FIRST > ker._BLOCK_CELLS
-        assert t.size > ker._LONG_ROW
         got = ker.poisson_hyp_series_rt(5, 0.6, t, 0.5)
         assert np.array_equal(got, series_loop(5, 0.6, t, 0.5))
 
