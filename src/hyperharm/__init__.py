@@ -22,7 +22,7 @@ from .functionals import (
     radial_max,
     ray_integral_Il,
 )
-from .geometry import BallPoint, ConeRegion, GroupElement, SphereGrid
+from .geometry import ConeRegion, SphereGrid
 from .harmonic import (
     HarmonicFunction,
     ZonalExpansion,
@@ -36,25 +36,17 @@ from .harmonic import (
     project_zonal,
     random_zonal,
 )
-from .kernels import (
-    poisson_euclid,
-    poisson_euclid_rt,
-    poisson_hyp,
-    poisson_hyp_rt,
-    poisson_hyp_series_rt,
-)
+from .kernels import poisson_euclid_rt, poisson_hyp_rt, poisson_hyp_series_rt
 from .verify import SUITES, SuiteReport, run_suite, write_reports
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallPoint",
     "ConeRegion",
     "ConeSpec",
     "DataFileError",
     "FunctionalGrid",
     "FunctionalResult",
-    "GroupElement",
     "HarmonicFunction",
     "HyperharmError",
     "OriginSingularity",
@@ -77,9 +69,7 @@ __all__ = [
     "functional_grid",
     "littlewood_paley_g",
     "load_boundary_data",
-    "poisson_euclid",
     "poisson_euclid_rt",
-    "poisson_hyp",
     "poisson_hyp_rt",
     "poisson_hyp_series_rt",
     "project_zonal",

@@ -9,10 +9,6 @@ class NonConvergence(HyperharmError):
     """A series failed to reach the requested tolerance within the term cap."""
 
 
-class DegenerateDenominator(HyperharmError):
-    """The Mobius-action denominator collapsed; the group element is malformed."""
-
-
 class UnsupportedRequest(HyperharmError):
     """A full (non-zonal) construction was requested where only the zonal
     reduction is available."""

@@ -23,7 +23,7 @@ from scipy.special import roots_legendre
 from . import geometry as geo
 from . import harmonic as hm
 from .errors import QuadratureFailure, UnsupportedRequest
-from .geometry import BallPoint, ConeRegion, SphereGrid
+from .geometry import ConeRegion, SphereGrid
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,6 @@ class FunctionalGrid:
     @property
     def r_max(self) -> float:
         return float(self.radii[-1])
-
-    @property
-    def h_min(self) -> float:
-        return 1.0 - self.r_max
 
 
 def functional_grid(n: int, degree: int = 48, ladder_depth: int = 18,
@@ -260,35 +256,32 @@ def littlewood_paley_g(u, grid: FunctionalGrid,
 # fractional ray integral
 
 
-def ray_integral_Il(f, l: float, x: BallPoint) -> float:
-    """I_l f at r zeta: integral over [0, r] of f(t zeta) (1-t)^(l-1) dt,
-    with panels refined toward t = r where the weight steepens for l < 1.
-    From 4 panels, the count doubles (at most 11 times) until successive
-    values agree to 1e-10 times max(|value|, 1)."""
-    r = x.r
+def ray_integral_Il(f, l: float, x) -> float:
+    """I_l f at the Cartesian point x = r zeta: integral over [0, r] of
+    f(t zeta) (1-t)^(l-1) dt, with panels refined toward t = r where the
+    weight steepens for l < 1. f is a HarmonicFunction or a pointwise
+    callable of (m, n) point arrays, evaluated once on all ray nodes of
+    each pass. From 4 panels, the count doubles (at most 11 times) until
+    successive values agree to 1e-10 times max(|value|, 1)."""
+    x = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(x))
+    if r >= 1.0:
+        raise ValueError("x must lie inside the unit ball")
     if r == 0.0:
         return 0.0
-    zeta = x.zeta
-
-    def integrand(t):
-        pts = t[:, None] * zeta[None, :]
-        if hasattr(f, "eval_points"):
-            vals = np.asarray(f.eval_points(pts), dtype=float)
-        else:
-            vals = np.asarray([float(f(BallPoint(ti, zeta))) for ti in t])
-        return vals * (1.0 - t) ** (l - 1.0)
-
+    zeta = x / r
     xg, wg = roots_legendre(12)
     panels = 4
     prev = None
     for _ in range(12):
         edges = r * (1.0 - 0.5 ** np.arange(panels + 1))
         edges[-1] = r
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        t = edges[:-1, None] + half * (xg + 1.0)
+        vals = _values(f, t.reshape(-1, 1) * zeta[None, :]).reshape(t.shape)
         total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            t = lo + half * (xg + 1.0)
-            total += half * float(wg @ integrand(t))
+        for h, v, tp in zip(half[:, 0], vals, t):
+            total += h * float(wg @ (v * (1.0 - tp) ** (l - 1.0)))
         if prev is not None and abs(total - prev) <= 1e-10 * max(abs(total),
                                                                 1.0):
             return total

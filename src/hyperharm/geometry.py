@@ -1,5 +1,4 @@
-"""Ball-model geometry: the isometry group action on the unit ball,
-non-tangential approach regions, the invariant measure, and quadrature grids
+"""Ball-model geometry: non-tangential approach regions and quadrature grids
 on spheres, balls, and cones."""
 
 from __future__ import annotations
@@ -11,149 +10,12 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import roots_chebyt, roots_gegenbauer, roots_legendre
 
-from .errors import DegenerateDenominator, UnsupportedRequest
+from .errors import UnsupportedRequest
 
 
 def sphere_area(d: int) -> float:
     """Surface area of the d-sphere S^d embedded in R^{d+1}."""
     return 2.0 * math.pi ** ((d + 1) / 2.0) / _gamma((d + 1) / 2.0)
-
-
-@dataclass(frozen=True)
-class BallPoint:
-    """Interior point of the unit ball, stored as radius times unit
-    direction."""
-
-    r: float
-    zeta: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.zeta, dtype=float)
-        nrm = float(np.linalg.norm(z))
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError("radius must lie in [0, 1)")
-        object.__setattr__(self, "zeta", z)
-
-    @classmethod
-    def from_cartesian(cls, x) -> "BallPoint":
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            e = np.zeros(len(x))
-            e[0] = 1.0
-            return cls(0.0, e)
-        return cls(r, x / r)
-
-    @property
-    def cartesian(self) -> np.ndarray:
-        return self.r * self.zeta
-
-    @property
-    def n(self) -> int:
-        return len(self.zeta)
-
-
-def _minkowski_J(n: int) -> np.ndarray:
-    J = np.eye(n + 1)
-    J[0, 0] = -1.0
-    return J
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of the identity component of the Lorentz group O(n,1),
-    acting conformally on the ball."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.matrix, dtype=float)
-        n = g.shape[0] - 1
-        J = _minkowski_J(n)
-        if not np.allclose(g.T @ J @ g, J, atol=1e-10):
-            raise ValueError("matrix does not preserve the Lorentz form")
-        if g[0, 0] < 1.0 - 1e-10:
-            raise ValueError("matrix is not in the identity component")
-        object.__setattr__(self, "matrix", g)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0] - 1
-
-    def inverse(self) -> "GroupElement":
-        J = _minkowski_J(self.n)
-        return GroupElement(J @ self.matrix.T @ J)
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix @ other.matrix)
-
-
-def identity_element(n: int) -> GroupElement:
-    return GroupElement(np.eye(n + 1))
-
-
-def boost(t: float, n: int = 3) -> GroupElement:
-    """Hyperbolic translation along the first axis: cosh/sinh in the upper
-    2x2 block, identity elsewhere. Moves the origin to radius tanh(t/2)."""
-    g = np.eye(n + 1)
-    g[0, 0] = g[1, 1] = math.cosh(t)
-    g[0, 1] = g[1, 0] = math.sinh(t)
-    return GroupElement(g)
-
-
-def rotation_element(R: np.ndarray) -> GroupElement:
-    """Embed an SO(n) rotation as a block-diagonal group element fixing the
-    origin."""
-    R = np.asarray(R, dtype=float)
-    n = R.shape[0]
-    g = np.eye(n + 1)
-    g[1:, 1:] = R
-    return GroupElement(g)
-
-
-def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random SO(n) matrix via QR of a Gaussian sample."""
-    A = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(A)
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
-
-
-def random_group_element(n: int, rng: np.random.Generator,
-                         max_boost: float = 2.0) -> GroupElement:
-    """Random element as rotation * boost * rotation."""
-    k1 = rotation_element(random_rotation(n, rng))
-    k2 = rotation_element(random_rotation(n, rng))
-    a = boost(float(rng.uniform(0.0, max_boost)), n)
-    return k1 @ a @ k2
-
-
-def mobius_act(g: GroupElement, x: BallPoint) -> BallPoint:
-    """Conformal action of the group on the ball.
-
-    y_p = (1/2 (1+|x|^2) g_{p0} + sum_l g_{pl} x_l) /
-          (1/2 (1-|x|^2) + 1/2 (1+|x|^2) g_{00} + sum_l g_{0l} x_l)
-    """
-    G = g.matrix
-    xv = x.cartesian
-    r2 = float(xv @ xv)
-    denom = 0.5 * (1.0 - r2) + 0.5 * (1.0 + r2) * G[0, 0] + G[0, 1:] @ xv
-    if denom < 1e-14:
-        raise DegenerateDenominator(f"action denominator {denom!r} too small")
-    y = (0.5 * (1.0 + r2) * G[1:, 0] + G[1:, 1:] @ xv) / denom
-    return BallPoint.from_cartesian(y)
-
-
-def invariant_measure_weight(x: BallPoint, n: int,
-                             exponent: float | None = None) -> float:
-    """Density of the isometry-invariant measure against Lebesgue measure,
-    (1-|x|^2)^(-e). The invariance-validated exponent is e = n, the default."""
-    e = float(n) if exponent is None else float(exponent)
-    return (1.0 - x.r ** 2) ** (-e)
 
 
 # ---------------------------------------------------------------------------
@@ -177,32 +39,14 @@ class ConeRegion:
             raise ValueError("boundary point must be a unit vector")
         object.__setattr__(self, "xi", v)
 
-    def contains(self, x: BallPoint) -> bool:
-        return cone_contains(self, x)
-
-
-def _cone_min_quadratic(alpha: float, r: float, t: float) -> float:
-    """min over tau in [0,1] of |x - tau xi|^2 - (1-tau)^2 alpha^2 for
-    x = r(t xi + ...), which depends on x only through (r, t)."""
-    A = 1.0 - alpha * alpha
-    B = alpha * alpha - r * t
-    C = r * r - alpha * alpha
-    # quadratic A tau^2 + 2 B tau + C, A > 0
-    tau = min(1.0, max(0.0, -B / A))
-    return A * tau * tau + 2.0 * B * tau + C
-
-
-def cone_contains(region: ConeRegion, x: BallPoint) -> bool:
-    """Membership by closed-form minimization of the hull quadratic."""
-    t = float(x.zeta @ region.xi)
-    return _cone_min_quadratic(region.alpha, x.r, t) < 0.0
-
 
 def cone_polar_cut(region: ConeRegion, r: float) -> float:
     """Smallest t = <direction, xi> at radius r still inside the region;
     -1 if the whole sphere of radius r is inside (r < alpha).
 
-    For alpha <= r < 1 the hull quadratic dips below zero exactly when
+    x lies in the region when the hull quadratic, the minimum over tau in
+    [0, 1] of |x - tau xi|^2 - (1-tau)^2 alpha^2, is negative. For
+    alpha <= r < 1 that happens exactly when
     r t - alpha^2 > sqrt((1 - alpha^2)(r^2 - alpha^2)), which gives the cut
     in closed form (1 when no direction qualifies)."""
     a = region.alpha
@@ -240,7 +84,7 @@ def orthonormal_frame(*axes, n: int | None = None) -> list[np.ndarray]:
         n = len(axes[0])
     out: list[np.ndarray] = []
     cands = [np.asarray(a, dtype=float) for a in axes]
-    cands += [np.eye(n)[k] for k in range(n)]
+    cands += list(np.eye(n))
     for v in cands:
         if len(out) == max(3, len(axes)):
             break

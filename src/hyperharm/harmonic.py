@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre, sph_harm_y
+from scipy.special import roots_legendre, sph_harm_y
 
 from . import geometry as geo
 from . import specfun as sf
 from .errors import (DataFileError, OriginSingularity, QuadratureFailure,
                      UnsupportedDimension)
-from .geometry import BallPoint
 
 _P = np.polynomial.polynomial
 
@@ -49,11 +48,11 @@ class RadialPart:
     polys: tuple
 
     @classmethod
-    def base(cls, l: int, n: int, coeff: float = 1.0,
-             delta: float = 1.0) -> "RadialPart":
+    def base(cls, l: int, n: int, coeff: float = 1.0) -> "RadialPart":
+        """coeff r^l f_l(r^2); dilate sets delta."""
         p0 = np.zeros(l + 1)
         p0[l] = coeff
-        return cls(l, n, delta, (p0,))
+        return cls(l, n, 1.0, (p0,))
 
     def _with(self, polys) -> "RadialPart":
         if self.n % 2 == 0:
@@ -173,10 +172,6 @@ class Sph3Expansion:
 
     coeffs: tuple  # coeffs[l] is a complex array of length 2l+1 (m = -l..l)
 
-    @property
-    def lmax(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def _radius_cosine(pts, pole):
     """Radius r and cosine t to the pole of Cartesian points (m x n), t
@@ -240,9 +235,6 @@ class HarmonicFunction:
             Y = sph_harm_y(np.full_like(ms, l), ms, theta[:, None], phi[:, None])
             out = out + rv * np.einsum("ij,j->i", Y, coeff)  # not @, as above
         return out.real
-
-    def __call__(self, x: BallPoint) -> float:
-        return float(self.eval_points(x.cartesian[None, :])[0])
 
     # -- structural helpers -------------------------------------------------
 
@@ -487,16 +479,6 @@ def apply_L(u: HarmonicFunction) -> HarmonicFunction:
 def apply_D(u: HarmonicFunction) -> HarmonicFunction:
     """Invariant Laplacian D = (1-r^2) L."""
     return _mul_poly(apply_L(u), [1.0, 0.0, -1.0])
-
-
-def apply_L_fd(f, x: BallPoint, n: int, h: float = 1e-4,
-               r_min: float = 1e-3) -> float:
-    """Black-box L by finite differences: D/(1-r^2) with D from second
-    differences. Refuses points too close to the origin, where the 1/r^2
-    prefactor is numerically hostile."""
-    if x.r < r_min:
-        raise OriginSingularity("black-box L needs r >= r_min")
-    return d_residual(f, x.cartesian, n, delta=1.0, h=h) / (1.0 - x.r ** 2)
 
 
 def gradient_sq(u: HarmonicFunction):

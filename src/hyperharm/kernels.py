@@ -17,7 +17,6 @@ from scipy.special import betaln, roots_jacobi
 from . import specfun as sf
 from .errors import (NonConvergence, QuadratureFailure, TruncationWarning,
                      UnsupportedDimension)
-from .geometry import BallPoint
 
 SERIES_CAP = 1024
 SERIES_TAIL_TOL = 1e-12
@@ -37,16 +36,6 @@ def poisson_hyp_rt(n: int, r, t):
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     return ((1.0 - r ** 2) / (1.0 + r ** 2 - 2.0 * r * t)) ** (n - 1.0)
-
-
-def poisson_euclid(x: BallPoint, xi) -> float:
-    xi = np.asarray(xi, dtype=float)
-    return float(poisson_euclid_rt(x.n, x.r, float(x.zeta @ xi)))
-
-
-def poisson_hyp(x: BallPoint, xi) -> float:
-    xi = np.asarray(xi, dtype=float)
-    return float(poisson_hyp_rt(x.n, x.r, float(x.zeta @ xi)))
 
 
 _LD = np.longdouble
@@ -538,14 +527,13 @@ def transfer_integral(func, r: float, n: int, c: float | None = None,
                             "doubling")
 
 
-def transfer_euclid_from_hyp(u, x: BallPoint, c: float | None = None,
-                             tol: float = 1e-10) -> float:
-    """int_0^1 eta(r, rho) u(rho r zeta) d rho. With u the hyperbolic kernel
-    toward a boundary point, this reproduces the Euclidean kernel there."""
-    n = x.n
-
-    def along_ray(s):
-        s = np.atleast_1d(s)
-        return np.array([u(BallPoint(float(si * x.r), x.zeta)) for si in s])
-
-    return transfer_integral(along_ray, x.r, n, c=c, tol=tol)
+def transfer_euclid_from_hyp(u, x) -> float:
+    """int_0^1 eta(r, rho) u(rho x) d rho at the Cartesian point x, r = |x|,
+    with u a pointwise callable of (m, n) point arrays, evaluated once on
+    all nodes of each quadrature pass. With u the hyperbolic kernel toward
+    a boundary point, this reproduces the Euclidean kernel there."""
+    x = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(x))
+    if r >= 1.0:
+        raise ValueError("x must lie inside the unit ball")
+    return transfer_integral(lambda s: u(s[:, None] * x[None, :]), r, len(x))

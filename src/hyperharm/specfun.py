@@ -234,14 +234,6 @@ def zonal_all(lmax: int, n: int, t):
     return c * scale.reshape((-1,) + (1,) * (c.ndim - 1))
 
 
-def zonal(l: int, n: int, t):
-    """Zonal harmonic Z_l(t) = ((2l+n-2)/(n-2)) C_l^{(n-2)/2}(t)."""
-    if l < 0 or n < 3:
-        raise ValueError("need l >= 0 and n >= 3")
-    out = zonal_all(l, n, t)[l]
-    return float(out) if np.ndim(t) == 0 else out
-
-
 def zonal_deriv_all(lmax: int, n: int, t):
     """Z_0'(t) .. Z_lmax'(t) stacked along the first axis, via
     (C_l^lam)' = 2 lam C_{l-1}^{lam+1} from one recurrence for all degrees."""
@@ -254,12 +246,6 @@ def zonal_deriv_all(lmax: int, n: int, t):
         out[1:] = scale.reshape((-1,) + (1,) * t.ndim) \
             * _gegenbauer_all(lmax - 1, lam + 1.0, t)
     return out
-
-
-def zonal_deriv(l: int, n: int, t):
-    """d/dt Z_l(t)."""
-    out = zonal_deriv_all(l, n, t)[l]
-    return float(out) if np.ndim(t) == 0 else out
 
 
 def zonal_at_one(l: int, n: int) -> float:

@@ -5,12 +5,15 @@ number for every per-layer metric that BENCHMARK.json names, with every
 counter hook run. A hook that no longer resolves makes its metrics null,
 which the benchmark's result line cannot carry. The kernel-series workload
 also reads report-prop18.txt; its status and constants must still hold the
-benchmark's reference values."""
+benchmark's reference values. Each workload's traced worker must end
+with a result line that strict JSON can carry."""
 
 import importlib
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -61,6 +64,18 @@ def test_fl_cache_info():
     assert after.hits >= before.hits + 1
 
 
+def _assert_layer_metrics_finite(layer):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # trace.overhead_s is the traced pass's wall time minus the untraced
+    # one's, added by run.py
+    for metric in spec["per_layer"]:
+        if metric["name"] == "trace.overhead_s":
+            continue
+        value = layer[metric["name"]]["value"]
+        assert isinstance(value, (int, float)), metric["name"]
+        assert math.isfinite(value), metric["name"]
+
+
 def test_traced_call_gives_every_layer_metric():
     hh = _package()
     tracer = tracing.Tracer()
@@ -81,15 +96,7 @@ def test_traced_call_gives_every_layer_metric():
     cache1 = hh.kernels._Fl_scalar.cache_info()
     assert hooks.missing == {}
     layer = tracing.layer_values(tracer, hooks, cache0, cache1)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    # trace.overhead_s is the traced pass's wall time minus the untraced
-    # one's, added by run.py
-    for metric in spec["per_layer"]:
-        if metric["name"] == "trace.overhead_s":
-            continue
-        value = layer[metric["name"]]["value"]
-        assert isinstance(value, (int, float)), metric["name"]
-        assert math.isfinite(value), metric["name"]
+    _assert_layer_metrics_finite(layer)
     assert layer["kernels.poisson_hyp_series_rt.calls"]["value"] == 1
     for name in ("specfun.fl_deriv.points", "specfun.route.series.points",
                  "specfun.route.euler.points"):
@@ -112,3 +119,21 @@ def test_prop18_report_matches_benchmark_reference(tmp_path):
     for key, want in consts.items():
         got = report["constants"][key[len("prop18."):]]
         assert abs(got - want) <= doc["rtol"] * abs(want) + doc["atol"], key
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in the result line")
+
+
+@pytest.mark.parametrize("workload",
+                         ["kernel-series", "cone-functionals", "high-degree"])
+def test_traced_worker_line_is_strict_json(workload, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), workload,
+         "0", str(tmp_path), "traced"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    line = proc.stdout.strip().splitlines()[-1]
+    doc = json.loads(line, parse_constant=_refuse_constant)
+    assert doc["hooks_missing"] == {}
+    _assert_layer_metrics_finite(doc["trace"])

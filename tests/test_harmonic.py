@@ -14,7 +14,7 @@ from hyperharm import kernels as ker
 from hyperharm import specfun as sf
 from hyperharm.errors import (DataFileError, OriginSingularity,
                               UnsupportedDimension)
-from hyperharm.geometry import BallPoint
+from oracles import apply_L_fd
 
 
 def e_vec(n, i=0):
@@ -92,7 +92,7 @@ class TestExtension:
     def test_constant_data(self):
         data = hm.ZonalExpansion(3, e_vec(3), [2.5])
         u = hm.extend(data)
-        assert u(BallPoint(0.7, e_vec(3))) == pytest.approx(2.5)
+        assert u.eval_points(0.7 * e_vec(3)[None])[0] == pytest.approx(2.5)
 
     def test_matches_poisson_integral_on_axis(self):
         # dual route: exact mode extension vs quadrature against the kernel
@@ -111,10 +111,11 @@ class TestExtension:
         data = sample_zonal(n, lmax=3, seed=11)
         u = hm.extend(data)
         g = geo.sphere_quadrature(n, 40, full=True)
-        x = BallPoint(0.5, np.array([0.6, 0.8, 0.0]))
+        zeta = np.array([0.6, 0.8, 0.0])
         phi = data.boundary_value(g.nodes @ data.pole)
-        kernel = np.array([ker.poisson_hyp(x, xi) for xi in g.nodes])
-        assert u(x) == pytest.approx(g.integrate(kernel * phi), abs=1e-8)
+        kernel = ker.poisson_hyp_rt(n, 0.5, g.nodes @ zeta)
+        assert u.eval_points(0.5 * zeta[None])[0] == pytest.approx(
+            g.integrate(kernel * phi), abs=1e-8)
 
     def test_boundary_limit(self):
         data = sample_zonal(4, lmax=3, seed=2)
@@ -169,6 +170,19 @@ class TestOperators:
             Lu = hm.apply_L(u)
             pts = interior_points(n, m=10, seed=2)
             assert np.max(np.abs(Lu.eval_points(pts))) < 1e-9
+
+    def test_D_matches_fd_residual(self):
+        # D = (1-r^2)^2 Lap + 2(n-2)(1-r^2) N, by second differences, on
+        # the non-harmonic Nu; D vanishes on the harmonic u itself
+        for n in (3, 4, 5):
+            u = sample_u(n, lmax=4, seed=n + 20)
+            w = hm.apply_N(u)
+            pts = interior_points(n, m=8, seed=n)
+            want = np.array([hm.d_residual(
+                lambda y: w.eval_points(y[None])[0], x, n) for x in pts])
+            got = hm.apply_D(w).eval_points(pts)
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+            assert np.max(np.abs(hm.apply_D(u).eval_points(pts))) < 1e-9
 
     def test_commutator_identity(self):
         # (LN - NL)u = 2Lu + 2(N^2 u + tangential u) - 2(n-2)Nu, valid for
@@ -228,17 +242,17 @@ class TestOperators:
         n = 4
         w = hm.apply_N(sample_u(n, seed=8))  # non-harmonic input
         Lw = hm.apply_L(w)
-        x = BallPoint(0.5, e_vec(n))
-        got = hm.apply_L_fd(lambda b: w(b) if isinstance(b, BallPoint)
-                            else w.eval_points(b[None])[0],
-                            x, n, h=1e-4)
-        assert got == pytest.approx(Lw(x), rel=1e-5, abs=1e-7)
+        x = 0.5 * e_vec(n)
+        got = apply_L_fd(lambda y: w.eval_points(y[None])[0], x, n)
+        assert got == pytest.approx(Lw.eval_points(x[None])[0], rel=1e-5,
+                                    abs=1e-7)
 
     def test_L_fd_origin_guard(self):
         n = 3
         u = sample_u(n)
         with pytest.raises(OriginSingularity):
-            hm.apply_L_fd(lambda b: u(b), BallPoint(1e-5, e_vec(n)), n)
+            apply_L_fd(lambda y: u.eval_points(y[None])[0], 1e-5 * e_vec(n),
+                       n)
 
 
 class TestDilation:
@@ -437,8 +451,8 @@ class TestDataIngestion:
         data = hm.load_boundary_data(doc)
         assert isinstance(data, hm.Sph3Expansion)
         u = hm.extend(data)
-        x = BallPoint(0.4, np.array([0.0, 0.6, 0.8]))
-        assert np.isfinite(u(x))
+        x = 0.4 * np.array([0.0, 0.6, 0.8])
+        assert np.isfinite(u.eval_points(x[None])[0])
 
     def test_malformed(self):
         for doc in ["not json at all", '{"kind": "zonal-coeffs"}',

@@ -14,7 +14,6 @@ from hyperharm import kernels as ker
 from hyperharm import specfun as sf
 from hyperharm.errors import (NonConvergence, TruncationWarning,
                               UnsupportedDimension)
-from hyperharm.geometry import BallPoint
 
 
 def e1(n):
@@ -25,14 +24,14 @@ def e1(n):
 
 class TestClosedForms:
     def test_euclid_center(self):
-        assert ker.poisson_euclid(BallPoint(0.0, e1(4)), e1(4)) == 1.0
+        assert ker.poisson_euclid_rt(4, 0.0, 1.0) == 1.0
 
     def test_euclid_on_axis(self):
         # r=0.5, t=1, n=3: 0.75/0.25^1.5 = 6
         assert ker.poisson_euclid_rt(3, 0.5, 1.0) == pytest.approx(6.0)
 
     def test_hyp_center(self):
-        assert ker.poisson_hyp(BallPoint(0.0, e1(3)), e1(3)) == 1.0
+        assert ker.poisson_hyp_rt(3, 0.0, 1.0) == 1.0
 
     def test_hyp_axis_values(self):
         for n, r in [(3, 0.4), (5, 0.7)]:
@@ -476,16 +475,6 @@ class TestSeries:
         with pytest.warns(TruncationWarning):
             ker.poisson_hyp_series_rt(6, 0.95, -0.2, 1.0, cap=10)
 
-    def test_ballpoint_wrapper(self):
-        def poisson_hyp_series(x, xi, delta, **kw):
-            out = ker.poisson_hyp_series_rt(x.n, x.r, float(x.zeta @ xi),
-                                            delta, **kw)
-            return float(np.asarray(out).reshape(()))
-
-        x = BallPoint(0.5, e1(3))
-        v = poisson_hyp_series(x, e1(3), 1.0)
-        assert v == pytest.approx(ker.poisson_hyp(x, e1(3)), rel=1e-10)
-
 
 class TestDecomposition:
     def test_odd_n_rejected(self):
@@ -593,17 +582,22 @@ class TestTransferKernel:
             zeta /= np.linalg.norm(zeta)
             xi = rng.standard_normal(n)
             xi /= np.linalg.norm(xi)
+
+            def hyp(pts):
+                r = np.linalg.norm(pts, axis=1)
+                return ker.poisson_hyp_rt(n, r, pts @ xi / r)
+
             for r in (0.3, 0.7, 0.9):
-                x = BallPoint(r, zeta)
-                got = ker.transfer_euclid_from_hyp(
-                    lambda b: ker.poisson_hyp(b, xi), x)
-                assert got == pytest.approx(ker.poisson_euclid(x, xi),
-                                            abs=1e-6)
+                got = ker.transfer_euclid_from_hyp(hyp, r * zeta)
+                want = ker.poisson_euclid_rt(n, r, zeta @ xi)
+                assert got == pytest.approx(want, abs=1e-6)
 
     def test_transfer_of_constant(self):
-        x = BallPoint(0.5, e1(4))
-        got = ker.transfer_euclid_from_hyp(lambda b: 1.0, x)
+        got = ker.transfer_euclid_from_hyp(lambda p: np.ones(len(p)),
+                                           0.5 * e1(4))
         assert got == pytest.approx(1.0, abs=1e-10)
+        with pytest.raises(ValueError):
+            ker.transfer_euclid_from_hyp(lambda p: np.ones(len(p)), e1(4))
 
     def test_derivative_bound_estimate(self):
         # k=1 radial-derivative mass of eta grows no faster than 1/(1-r)
