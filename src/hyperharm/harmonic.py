@@ -63,20 +63,9 @@ class RadialPart:
         return replace(self, polys=tuple(polys))
 
     def evaluate(self, r):
-        """Value at radii r. Each bucket p_i(r) G_i(delta^2 r^2) is
-        evaluated once per distinct radius and scattered back, so a value
-        does not depend on the other radii in r."""
-        r = np.asarray(r, dtype=float)
-        ru, inv = np.unique(r, return_inverse=True)
-        x = (self.delta * ru) ** 2
-        powers = ru[:, None] ** np.arange(max(len(p) for p in self.polys))
-        out = np.zeros(ru.shape)
-        for i, p in enumerate(self.polys):
-            if np.all(p == 0.0):
-                continue
-            poly = np.einsum("ij,j->i", powers[:, :len(p)], p)
-            out = out + poly * sf.fl_deriv(self.l, self.n, x, i)
-        return out[inv].reshape(r.shape) if r.shape else out[0]
+        """Value at radii r (see _radial_values)."""
+        out = next(_radial_values((self,), r))
+        return out if out.shape else out[()]
 
     def scale(self, c: float) -> "RadialPart":
         return self._with([p * c for p in self.polys])
@@ -102,14 +91,21 @@ class RadialPart:
         return self.diff_r().mul_poly([0.0, 1.0])
 
     def diff_r(self) -> "RadialPart":
-        """d/dr: bucket i receives p_i' and feeds 2 delta^2 r p_i up."""
-        m = len(self.polys)
-        out = [np.zeros(1) for _ in range(m + 1)]
+        """d/dr: bucket i receives p_i' and feeds 2 delta^2 r p_i up. A
+        sum adds the shorter polynomial into the longer, the feed trimmed
+        of trailing zeros first and its zeros all +0, which gives the bits
+        of numpy.polynomial's polyadd and polymul, signed zeros included."""
         shift = 2.0 * self.delta ** 2
-        for i, p in enumerate(self.polys):
-            out[i] = _P.polyadd(out[i], _P.polyder(p))
-            out[i + 1] = _P.polyadd(out[i + 1],
-                                    _P.polymul(p, [0.0, shift]))
+        out, up = [], np.zeros(1)
+        for p in self.polys:
+            der = p[1:] * np.arange(1, len(p)) if len(p) > 1 else p * 0.0
+            if len(der) > len(up):
+                up, der = der, up
+            acc = up.copy()
+            acc[:len(der)] += der
+            out.append(acc)
+            up = _trim(np.concatenate(([0.0], p * shift + 0.0)))
+        out.append(up)
         return self._with(out)
 
     def _shift_down(self, k: int) -> "RadialPart":
@@ -139,6 +135,38 @@ class RadialPart:
 
     def is_zero(self) -> bool:
         return all(np.all(p == 0.0) for p in self.polys)
+
+
+def _radial_values(parts, r):
+    """Yields each radial part's values at radii r, in order. The parts
+    share n. Each distinct radius is evaluated once, with one fl_deriv call
+    per bucket order for every part holding that bucket; each part sums its
+    buckets p_i(r) G_i(delta^2 r^2) in bucket order. So a part's value is
+    the same whatever the other parts and radii evaluated with it. Each
+    part is scattered back to r only when its turn comes, so memory holds
+    one part at r at a time."""
+    if not parts:
+        return
+    r = np.asarray(r, dtype=float)
+    ru, inv = np.unique(r, return_inverse=True)
+    table = np.zeros((len(parts), ru.size))
+    powers = ru[:, None] ** np.arange(max(len(p) for rad in parts
+                                          for p in rad.polys))
+    for i in range(max(len(rad.polys) for rad in parts)):
+        rows = [j for j, rad in enumerate(parts) if len(rad.polys) > i
+                and not np.all(rad.polys[i] == 0.0)]
+        if not rows:
+            continue
+        ls = np.array([parts[j].l for j in rows])
+        deltas = np.array([parts[j].delta for j in rows])
+        G = sf.fl_deriv(ls[:, None], parts[0].n, (deltas[:, None] * ru) ** 2,
+                        i)
+        for j, g in zip(rows, G):
+            p = parts[j].polys[i]
+            table[j] = table[j] + np.einsum("ij,j->i", powers[:, :len(p)],
+                                            p) * g
+    for row in table:
+        yield row[inv].reshape(r.shape)
 
 
 @dataclass(frozen=True)
@@ -214,8 +242,9 @@ class HarmonicFunction:
             return out if out.shape else float(out)
         lmax = max(l for l, _ in self.modes)
         Z = sf.zonal_all(lmax, self.n, t)
-        for l, rad in self.modes:
-            out = out + rad.evaluate(r) * Z[l]
+        values = _radial_values([rad for _, rad in self.modes], r)
+        for (l, _), rv in zip(self.modes, values):
+            out = out + rv * Z[l]
         return out if out.shape else float(out)
 
     def eval_points(self, pts):
@@ -229,8 +258,8 @@ class HarmonicFunction:
         theta = np.arccos(np.clip(pts[:, 2] / safe, -1.0, 1.0))
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         out = np.zeros(len(pts), dtype=complex)
-        for l, (rad, coeff) in self.modes:
-            rv = rad.evaluate(r)
+        values = _radial_values([rad for _, (rad, _) in self.modes], r)
+        for (l, (_, coeff)), rv in zip(self.modes, values):
             ms = np.arange(-l, l + 1)
             Y = sph_harm_y(np.full_like(ms, l), ms, theta[:, None], phi[:, None])
             out = out + rv * np.einsum("ij,j->i", Y, coeff)  # not @, as above
@@ -502,8 +531,9 @@ def gradient_sq(u: HarmonicFunction):
                 lmax = max(l for l, _ in tang)
                 dZ = sf.zonal_deriv_all(lmax, u.n, t)
                 acc = np.zeros_like(r)
-                for l, rad in tang:
-                    acc += rad.evaluate(r) * dZ[l]
+                values = _radial_values([rad for _, rad in tang], r)
+                for (l, _), rv in zip(tang, values):
+                    acc += rv * dZ[l]
                 out = out + (1.0 - t ** 2) * acc ** 2
             return out
 

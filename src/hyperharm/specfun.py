@@ -159,52 +159,90 @@ def _euler_panels():
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _euler_2f1(a: float, b: float, c: float, x):
+def _euler_2f1(a, b: float, c, x):
     """2F1(a, b; c; x) by the Euler integral over the first parameter,
-    requiring c > a > 0. Accurate for x arbitrarily close to 1."""
-    if not c > a > 0:
+    requiring c > a > 0. Accurate for x arbitrarily close to 1. a and c may
+    be per-point arrays, broadcast against x; the kernel (1 - x t)^(-b) is
+    built once per distinct x and shared by every (a, c), and each (a, c)
+    takes its weight with scalar exponents, so a point's value is that of a
+    call with its own scalar a and c."""
+    x, a, c = np.broadcast_arrays(np.asarray(x, dtype=float), a, c)
+    if not np.all((c > a) & (a > 0)):
         raise ValueError("Euler integral needs c > a > 0")
     t, w = _euler_panels()
-    base = w * t ** (a - 1.0) * (1.0 - t) ** (c - a - 1.0)
-    x = np.asarray(x, dtype=float)
-    kern = (1.0 - x[..., None] * t) ** (-b)
-    # one dot product per point, summed the same way whatever the batch
-    # (a BLAS matrix-vector product rounds a row differently by batch size)
-    integral = np.einsum("...j,j->...", kern, base)
-    pref = math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a))
-    return pref * integral
+    xu, xi = np.unique(x, return_inverse=True)
+    kern = (1.0 - xu[:, None] * t) ** (-b)
+    pairs, pi = np.unique(np.stack([a.ravel(), c.ravel()], axis=1), axis=0,
+                          return_inverse=True)
+    xi, pi = xi.ravel(), pi.ravel()
+    out = np.empty(x.size)
+    tails = {}  # (1 - t)^(c - a - 1), one per distinct exponent
+    for j, (aj, cj) in enumerate(pairs.tolist()):
+        e = cj - aj - 1.0
+        if e not in tails:
+            tails[e] = (1.0 - t) ** e
+        base = w * t ** (aj - 1.0) * tails[e]
+        pref = math.exp(math.lgamma(cj) - math.lgamma(aj)
+                        - math.lgamma(cj - aj))
+        rows = np.flatnonzero(pi == j)
+        # one dot product per point, summed the same way whatever the batch
+        # (a BLAS matrix-vector product rounds a row differently by batch
+        # size)
+        out[rows] = pref * np.einsum("...j,j->...", kern[xi[rows]], base)
+    return out.reshape(x.shape)
 
 
-def fl_deriv(l: int, n: int, x, order: int = 1):
+def fl_deriv(l, n: int, x, order: int = 1):
     """order-th derivative of f_l(x) = F_l(x) / F_l(1) for x in [0, 1], with
     F_l(x) = 2F1(l, 1 - n/2; l + n/2; x); order 0 is f_l itself, exactly 1
-    at x = 1 and for l = 0.
+    at x = 1 and for l = 0. The degree l may be an integer array, broadcast
+    against x, so one call gives every degree at every point; each value is
+    bit for bit that of a call with its own scalar l and x.
 
     Uses the parameter-shift rule d/dx 2F1(a,b;c;x) = (ab/c)
     2F1(a+1, b+1; c+1; x). Each point is summed by the power series (a
     polynomial for even n), or by the Euler integral above _SERIES_X_MAX
-    when the series does not terminate.
+    when the series does not terminate. The series points go to
+    _series_2f1 in order of x, in slices small enough that its first block
+    keeps all _SERIES_BLOCK terms. Raises ValueError for x outside [0, 1],
+    NaN included.
     """
-    if l < 0 or n < 3:
+    l = np.asarray(l)
+    if n < 3 or np.any(l < 0):
         raise ValueError("need l >= 0 and n >= 3")
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x) if order == 0 else np.zeros_like(x)
-    a, b, c = float(l), 1.0 - n / 2.0, l + n / 2.0
-    pref = 1.0
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("fl_deriv needs x in [0, 1]")
+    # the per-degree factors, before l is broadcast against x
+    a = l.astype(float)
+    b, c = 1.0 - n / 2.0, a + n / 2.0
+    pref = np.ones(l.shape)
     for j in range(order):
-        pref *= (a + j) * (b + j) / (c + j)
-    if l > 0 and pref != 0.0:
-        a, b, c = a + order, b + order, c + order
-        norm = gauss_Fl_at_one(l, n)
-        todo = x != 1.0 if order == 0 else np.ones(x.shape, bool)
+        pref = pref * ((a + j) * (b + j) / (c + j))
+    degrees, at = np.unique(l, return_inverse=True)
+    norm = np.array([gauss_Fl_at_one(int(d), n) for d in degrees])[at]
+    l, x, a, c, pref, norm = np.broadcast_arrays(l, x, a, c, pref,
+                                                 norm.reshape(l.shape))
+    out = np.ones(x.shape) if order == 0 else np.zeros(x.shape)
+    todo = (l > 0) & (pref != 0.0)
+    if order == 0:
+        todo &= x != 1.0
+    if todo.any():
+        a, b, c = a[todo] + order, b + order, c[todo] + order
+        xs, pref, norm = x[todo], pref[todo], norm[todo]
+        vals = np.empty(xs.shape)
         terminating = b <= 0 and b.is_integer()
-        euler = todo & (x > _SERIES_X_MAX) & (not terminating)
-        series = todo & ~euler
-        if series.any():
-            out[series] = pref * _series_2f1(a, b, c, x[series], SERIES_TOL,
-                                             SERIES_CAP) / norm
+        euler = (xs > _SERIES_X_MAX) & (not terminating)
         if euler.any():
-            out[euler] = pref * _euler_2f1(a, b, c, x[euler]) / norm
+            vals[euler] = _euler_2f1(a[euler], b, c[euler], xs[euler])
+        rows = np.flatnonzero(~euler)
+        rows = rows[np.argsort(xs[rows])]
+        step = _SERIES_CELLS // _SERIES_BLOCK
+        for lo in range(0, rows.size, step):
+            s = rows[lo:lo + step]
+            vals[s] = _series_2f1(a[s], b, c[s], xs[s], SERIES_TOL,
+                                  SERIES_CAP)
+        out[todo] = pref * vals / norm
     return float(out) if out.ndim == 0 else out
 
 

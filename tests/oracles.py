@@ -1,14 +1,18 @@
 """Reference implementations that only tests use: the isometry group of the
 ball acting by Moebius maps, the hull quadratic behind the approach-region
-cut, and the finite-difference L. The program is checked against them; no
-suite, command or workload runs them. Points are Cartesian arrays."""
+cut, the finite-difference L, and the radial factor and zonal extension
+evaluated one degree and one mode at a time. The program is checked against
+them; no suite, command or workload runs them. Points are Cartesian
+arrays."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import sph_harm_y
 
 from hyperharm import harmonic as hm
+from hyperharm import specfun as sf
 from hyperharm.errors import HyperharmError, OriginSingularity
 
 
@@ -129,3 +133,108 @@ def apply_L_fd(f, x, n: int) -> float:
     if r2 < 1e-6:
         raise OriginSingularity("finite-difference L needs |x| >= 1e-3")
     return hm.d_residual(f, x, n, delta=1.0, h=1e-4) / (1.0 - r2)
+
+
+def euler_2f1_scalar(a: float, b: float, c: float, x):
+    """2F1(a, b; c; x) by the Euler integral for one scalar (a, b, c)."""
+    t, w = sf._euler_panels()
+    base = w * t ** (a - 1.0) * (1.0 - t) ** (c - a - 1.0)
+    x = np.asarray(x, dtype=float)
+    kern = (1.0 - x[..., None] * t) ** (-b)
+    integral = np.einsum("...j,j->...", kern, base)
+    pref = math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a))
+    return pref * integral
+
+
+def fl_deriv_one_degree(l: int, n: int, x, order: int = 1):
+    """f_l^(order) at x for one scalar degree l, one series or Euler call
+    per route: the per-degree reference for fl_deriv's array of degrees."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x) if order == 0 else np.zeros_like(x)
+    a, b, c = float(l), 1.0 - n / 2.0, l + n / 2.0
+    pref = 1.0
+    for j in range(order):
+        pref *= (a + j) * (b + j) / (c + j)
+    if l > 0 and pref != 0.0:
+        a, b, c = a + order, b + order, c + order
+        norm = sf.gauss_Fl_at_one(l, n)
+        todo = x != 1.0 if order == 0 else np.ones(x.shape, bool)
+        terminating = b <= 0 and b.is_integer()
+        euler = todo & (x > sf._SERIES_X_MAX) & (not terminating)
+        series = todo & ~euler
+        if series.any():
+            out[series] = pref * sf._series_2f1(
+                a, b, c, x[series], sf.SERIES_TOL, sf.SERIES_CAP) / norm
+        if euler.any():
+            out[euler] = pref * euler_2f1_scalar(a, b, c, x[euler]) / norm
+    return float(out) if out.ndim == 0 else out
+
+
+def radial_one_mode(rad, r):
+    """A radial part's value at radii r, bucket by bucket, with one
+    fl_deriv_one_degree call per bucket."""
+    r = np.asarray(r, dtype=float)
+    ru, inv = np.unique(r, return_inverse=True)
+    x = (rad.delta * ru) ** 2
+    powers = ru[:, None] ** np.arange(max(len(p) for p in rad.polys))
+    out = np.zeros(ru.shape)
+    for i, p in enumerate(rad.polys):
+        if np.all(p == 0.0):
+            continue
+        poly = np.einsum("ij,j->i", powers[:, :len(p)], p)
+        out = out + poly * fl_deriv_one_degree(rad.l, rad.n, x, i)
+    return out[inv].reshape(r.shape) if r.shape else out[0]
+
+
+def eval_rt_per_mode(u, r, t):
+    """A zonal extension at radius r and cosine t, summed mode by mode."""
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(np.broadcast(r, t).shape)
+    Z = sf.zonal_all(max(l for l, _ in u.modes), u.n, t)
+    for l, rad in u.modes:
+        out = out + radial_one_mode(rad, r) * Z[l]
+    return out
+
+
+def eval_points_per_mode(u, pts):
+    """An extension at Cartesian points, summed mode by mode."""
+    if u.kind == "zonal":
+        return eval_rt_per_mode(u, *hm._radius_cosine(pts, u.pole))
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    r = np.linalg.norm(pts, axis=1)
+    safe = np.where(r > 0, r, 1.0)
+    theta = np.arccos(np.clip(pts[:, 2] / safe, -1.0, 1.0))
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    out = np.zeros(len(pts), dtype=complex)
+    for l, (rad, coeff) in u.modes:
+        ms = np.arange(-l, l + 1)
+        Y = sph_harm_y(np.full_like(ms, l), ms, theta[:, None], phi[:, None])
+        out = out + radial_one_mode(rad, r) * np.einsum("ij,j->i", Y, coeff)
+    return out.real
+
+
+def gradient_sq_per_mode(u, pts):
+    """|grad u|^2 of a zonal extension at Cartesian points, its radial and
+    tangential sums taken mode by mode."""
+    dr = u._map_radial(lambda l, rad: rad.diff_r())
+    tang = [(l, rad.div_r()) for l, rad in u.modes if l >= 1]
+    r, t = hm._radius_cosine(pts, u.pole)
+    out = eval_rt_per_mode(dr, r, t) ** 2
+    dZ = sf.zonal_deriv_all(max(l for l, _ in tang), u.n, t)
+    acc = np.zeros_like(r)
+    for l, rad in tang:
+        acc += radial_one_mode(rad, r) * dZ[l]
+    return out + (1.0 - t ** 2) * acc ** 2
+
+
+def diff_r_polynomial(rad):
+    """d/dr of a radial part through numpy.polynomial's polyder, polyadd
+    and polymul."""
+    P = np.polynomial.polynomial
+    out = [np.zeros(1) for _ in range(len(rad.polys) + 1)]
+    shift = 2.0 * rad.delta ** 2
+    for i, p in enumerate(rad.polys):
+        out[i] = P.polyadd(out[i], P.polyder(p))
+        out[i + 1] = P.polyadd(out[i + 1], P.polymul(p, [0.0, shift]))
+    return rad._with(out)

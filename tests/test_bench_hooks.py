@@ -6,7 +6,8 @@ counter hook run. A hook that no longer resolves makes its metrics null,
 which the benchmark's result line cannot carry. The kernel-series workload
 also reads report-prop18.txt; its status and constants must still hold the
 benchmark's reference values. Each workload's traced worker must end
-with a result line that strict JSON can carry."""
+with a result line that strict JSON can carry. A zonal extension's
+evaluation makes one fl_deriv call per radial order, not one per degree."""
 
 import importlib
 import importlib.util
@@ -101,6 +102,27 @@ def test_traced_call_gives_every_layer_metric():
     for name in ("specfun.fl_deriv.points", "specfun.route.series.points",
                  "specfun.route.euler.points"):
         assert layer[name]["value"] > 0, name
+
+
+def test_eval_rt_makes_one_fl_deriv_call_per_radial_order():
+    # every degree of a degree-256 extension at one radius, on both routes
+    hh = _package()
+    rng = np.random.default_rng(0)
+    u = hh.harmonic.extend(hh.harmonic.random_zonal(3, 256, rng, decay=1.5))
+    t = np.linspace(-1.0, 1.0, 7)
+    for v in (u, hh.harmonic.apply_N(u, 2)):
+        orders = max(len(rad.polys) for _, rad in v.modes)
+        for r in (0.5, 0.98):
+            tracer = tracing.Tracer()
+            hooks = tracing.Hooks(hh, tracer)
+            try:
+                v.eval_rt(r, t)
+            finally:
+                hooks.close()
+            assert hooks.missing == {}
+            assert tracer.counts.get("specfun.fl_deriv.calls", 0) <= orders
+            assert tracer.counts.get("harmonic.RadialPart.evaluate.calls",
+                                     0) == 0
 
 
 def test_prop18_report_matches_benchmark_reference(tmp_path):

@@ -138,9 +138,11 @@ class TestRadialFamily:
                 assert all(type(v) is float for v in alone)
                 assert np.array_equal(batch, alone), (n, order)
             assert batch.shape == xs.shape and sf.fl_deriv(7, n, 1.0, 0) == 1.0
-        for l, n in ((-1, 3), (1, 2)):
+        for l, n, x in ((-1, 3, 0.5), (1, 2, 0.5), (3, 3, np.nan),
+                        (3, 4, -0.1), (3, 5, 1.0 + 1e-12), (3, 6, np.inf),
+                        (3, 3, [0.2, np.nan])):
             with pytest.raises(ValueError):
-                sf.fl_deriv(l, n, 0.5, 0)
+                sf.fl_deriv(l, n, x, 0)
 
     def test_series_stops_per_point(self):
         # points needing well under 64 terms, about 64 (one block) and
