@@ -165,14 +165,16 @@ def _in_use(pos, *state):
     return ((np.cumsum(used) - 1)[pos], *(s[used] for s in state))
 
 
-def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
+def poisson_hyp_series_rt(n: int, r, t, delta, cap: int = SERIES_CAP,
                           mp_amplification: float = 3e9):
     """Series evaluation sum_l [F_l(delta^2 r^2)/F_l(delta^2)] r^l Z_l(t).
 
     delta = 0 gives the Euclidean kernel, delta = 1 the hyperbolic one. The
     normalization F_l(delta^2) makes each radial factor tend to 1 at the
     boundary, so the series is a genuine Poisson kernel for every delta.
-    r and t broadcast against each other.
+    r and t broadcast against each other, and delta (a float or an array)
+    against both. Unless r lies in [0, 1), t in [-1, 1] and delta in
+    [0, 1], it raises ValueError before any work.
 
     Accumulation runs in extended precision: the zonal terms cancel heavily
     where the kernel is small (the sum can be 1e8 times smaller than its
@@ -180,46 +182,53 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
     digits.
 
     The degrees are summed in blocks: per block one F_l call for every
-    radius and degree in it, the Gegenbauer recurrence once per distinct
-    angle, and each pair's running sums as in-order accumulations, so the
-    values are bit for bit those of a sum degree by degree. The first block
-    has _BLOCK_FIRST degrees and each next one twice as many, within
-    _BLOCK_CELLS pair x degree cells; large batches thus take short blocks,
-    and the F_l series bounds its own work arrays.
+    distinct (delta, r) and degree in it, the Gegenbauer recurrence once per
+    distinct angle, and each triple's running sums as in-order
+    accumulations, so the values are bit for bit those of a sum degree by
+    degree. The first block has _BLOCK_FIRST degrees and each next one twice
+    as many, within _BLOCK_CELLS triple x degree cells; large batches thus
+    take short blocks, and the F_l series bounds its own work arrays.
 
-    Each (r, t) pair stops on its own once five consecutive terms fall below
-    SERIES_TAIL_TOL, and where its terms cancelled by more than
+    Each (delta, r, t) triple stops on its own once five consecutive terms
+    fall below SERIES_TAIL_TOL, and where its terms cancelled by more than
     mp_amplification it is redone in arbitrary precision, from radial ratios
     of a backward recurrence in l (_mp_Fl); on acceptance criterion 01's
     delta = 1 grid those points are within 9e-16 relative of the closed
-    form. Each distinct pair is summed once, and its value depends neither
-    on the other pairs in the call nor on earlier calls.
-    Emits TruncationWarning when any pair reaches the cap first.
+    form. Each distinct triple is summed once, and its value depends neither
+    on the other triples in the call nor on earlier calls.
+    Emits TruncationWarning when any triple reaches the cap first, and
+    raises NonConvergence when any delta's F_l(delta^2) does not converge.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
+    d = np.asarray(delta, dtype=float)
     r = np.atleast_1d(np.asarray(r, dtype=_LD))
     t = np.atleast_1d(np.asarray(t, dtype=_LD))
-    r, t = np.broadcast_arrays(r, t)
-    # one sum per distinct (r, t) pair, by exact value; `inv` scatters back
+    if not (np.all((d >= 0.0) & (d <= 1.0)) and np.all(np.abs(t) <= 1.0)
+            and np.all((r >= 0.0) & (r < 1.0))):
+        raise ValueError("need delta in [0, 1], r in [0, 1) and t in [-1, 1]")
+    d, r, t = np.broadcast_arrays(d, r, t)
+    # one sum per distinct (delta, r, t) triple, by exact value; `inv`
+    # scatters back. A triple's radial entry is its distinct (delta, r).
+    d_u, d_code = np.unique(d.ravel(), return_inverse=True)
     r_u, r_code = np.unique(r.ravel(), return_inverse=True)
     t_u, t_code = np.unique(t.ravel(), return_inverse=True)
-    pairs, inv = np.unique(r_code * t_u.size + t_code, return_inverse=True)
-    r_of, t_of = np.divmod(pairs, t_u.size)
-    total, abs_total = np.zeros((2, pairs.size), dtype=_LD)
-    d2 = _LD(delta) ** 2
+    dr, dr_code = np.unique(d_code * r_u.size + r_code, return_inverse=True)
+    trips, inv = np.unique(dr_code * t_u.size + t_code, return_inverse=True)
+    dr_of, t_of = np.divmod(trips, t_u.size)
+    dr_d, dr_r = d_u[dr // r_u.size], r_u[dr % r_u.size]
+    total, abs_total = np.zeros((2, trips.size), dtype=_LD)
     lam = (_LD(n) - 2) / 2
-    # the active set: the pairs still summing, their running state, and
-    # their places (rad, ang) among the distinct radii and angles in use.
-    # Per radius: r, the argument of F_l (it depends on r only) as a double,
-    # and r^l; per angle: t and the Gegenbauer C_{l-2}, C_{l-1}.
-    act, rad, ang = np.arange(pairs.size), r_of, t_of
-    ra, xr, rpow = r_u, (d2 * r_u ** 2).astype(float), np.ones_like(r_u)
+    # the active set: the triples still summing, their running state, and
+    # their places (rad, ang) among the radial entries and angles in use.
+    # Per radial entry: delta, r, the argument of F_l as a double, and r^l;
+    # per angle: t and the Gegenbauer C_{l-2}, C_{l-1}.
+    act, rad, ang = np.arange(trips.size), dr_of, t_of
+    da, ra, rpow = dr_d, dr_r, np.ones_like(dr_r)
+    xr = (da.astype(_LD) ** 2 * ra ** 2).astype(float)
     ta, c_prev, c_curr = t_u, np.zeros(t_u.size, _LD), np.ones(t_u.size, _LD)
-    run, abs_run = np.zeros((2, pairs.size), dtype=_LD)
-    # per pair: the last degree whose term was above the tail tolerance
-    loud = np.full(pairs.size, -1)
-    if delta == 1.0:
+    run, abs_run = np.zeros((2, trips.size), dtype=_LD)
+    # per triple: the last degree whose term was above the tail tolerance
+    loud = np.full(trips.size, -1)
+    if 1.0 in d_u:
         # F_l(1), l = 0..cap, by the exact ratio (l-1+n/2)/(l+n-2) to F_{l-1}
         l1 = np.arange(1, cap + 1)
         ratio = np.asarray(l1 - 1 + n / 2, _LD) / np.asarray(l1 + n - 2, _LD)
@@ -228,24 +237,27 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
     while act.size and l0 <= cap:
         m = max(1, min(step, most // act.size, cap + 1 - l0))
         ls = np.arange(l0, l0 + m)
-        # r^l0 .. r^(l0+m) per distinct radius, a running product
+        # r^l0 .. r^(l0+m) per radial entry, a running product
         w = np.empty((m + 1, ra.size), dtype=_LD)
         w[0] = rpow
         w[1:] = _running(np.multiply, rpow, np.broadcast_to(ra, w[1:].shape))
-        if delta > 0.0:
+        pos = da > 0.0
+        if pos.any():
             # F_l(delta^2 r^2)/F_l(delta^2), one F_l call for the block; a
-            # degree past every pair's stop may fail to converge where the
+            # degree past every triple's stop may fail to converge where the
             # per-degree sum never reached it, so retry degree by degree
+            d_in, col = np.unique(da[pos], return_inverse=True)
             try:
-                num = _Fl_at(ls[:, None], n, xr)
-                den = fl1[ls] if delta == 1.0 else np.array(
-                    [_Fl_scalar(int(l), n, float(d2)) for l in ls], _LD)
+                num = _Fl_at(ls[:, None], n, xr[pos])
+                den = np.stack([fl1[ls] if v == 1.0 else np.array(
+                    [_Fl_scalar(int(l), n, float(_LD(v) ** 2)) for l in ls],
+                    _LD) for v in d_in], axis=1)
             except NonConvergence:
                 if m == 1:
                     raise
                 step = most = 1
                 continue
-            w[:m] = num / den[:, None] * w[:m]
+            w[:m, pos] = num / den[:, col] * w[:m, pos]
         rpow = w[m]
         # Z_l per distinct angle: the Gegenbauer recurrence C_l = (2(l+lam-1)
         # t C_{l-1} - (l+2lam-2) C_{l-2}) / l, then Z_l = (2l+n-2)/(n-2) C_l,
@@ -260,9 +272,9 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
                 c_prev, c_curr = c_curr, (a_l * ta * c_curr - b_l * c_prev) / l
             z[j] = c_curr
         z *= ((2 * lsl + _LD(n) - 2) / (_LD(n) - 2))[:, None]
-        # each pair's terms (one row per degree) and its running sums,
+        # each triple's terms (one row per degree) and its running sums,
         # accumulated in order so that they round like run + term. With one
-        # radius left, its pairs are the angles in use, in order.
+        # radial entry left, its triples are the angles in use, in order.
         term = w[:m] * z if ra.size == 1 else w[:m, rad] * z[:, ang]
         runs = _running(np.add, run, term)
         abs_term = np.abs(term)
@@ -274,7 +286,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
                                                     ls[:, None]))
         run, abs_run, loud = runs[-1], abs_runs[-1], louds[-1]
         l0, step = l0 + m, 2 * step
-        # a pair stops at its first degree l with five quiet degrees in a
+        # a triple stops at its first degree l with five quiet degrees in a
         # row (loud == l - 5) and keeps the sums through l
         quiet5 = louds == (ls - 5)[:, None]
         stop = quiet5.any(axis=0)
@@ -284,7 +296,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
             total[act[i]], abs_total[act[i]] = runs[at, i], abs_runs[at, i]
             go = ~stop
             act, run, abs_run, loud = act[go], run[go], abs_run[go], loud[go]
-            rad, ra, xr, rpow = _in_use(rad[go], ra, xr, rpow)
+            rad, da, ra, xr, rpow = _in_use(rad[go], da, ra, xr, rpow)
             ang, ta, c_prev, c_curr = _in_use(ang[go], ta, c_prev, c_curr)
     if act.size:
         warnings.warn("kernel series truncated at the term cap before "
@@ -293,14 +305,14 @@ def poisson_hyp_series_rt(n: int, r, t, delta: float, cap: int = SERIES_CAP,
     out = total.astype(float)
     if np.isfinite(mp_amplification):
         # where the alternating terms cancelled beyond extended-precision
-        # reach, redo those pairs in arbitrary precision
+        # reach, redo those triples in arbitrary precision
         ampl = abs_total / (np.abs(total) + _LD(1e-300))
         for i in np.nonzero(ampl > _LD(mp_amplification))[0]:
             # working precision sized to the observed cancellation
             dps = int(math.log10(float(ampl[i]))) + 14
-            out[i] = _series_point_mp(n, float(r_u[r_of[i]]),
-                                      float(t_u[t_of[i]]), delta, cap,
-                                      dps=dps)
+            out[i] = _series_point_mp(n, float(dr_r[dr_of[i]]),
+                                      float(t_u[t_of[i]]),
+                                      float(dr_d[dr_of[i]]), cap, dps=dps)
     return out[inv].reshape(r.shape)
 
 

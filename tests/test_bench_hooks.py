@@ -7,7 +7,8 @@ which the benchmark's result line cannot carry. The kernel-series workload
 also reads report-prop18.txt; its status and constants must still hold the
 benchmark's reference values. Each workload's traced worker must end
 with a result line that strict JSON can carry. A zonal extension's
-evaluation makes one fl_deriv call per radial order, not one per degree."""
+evaluation makes one fl_deriv call per radial order, not one per degree,
+and each kernel suite one series call per grid, not one per delta."""
 
 import importlib
 import importlib.util
@@ -123,6 +124,28 @@ def test_eval_rt_makes_one_fl_deriv_call_per_radial_order():
             assert tracer.counts.get("specfun.fl_deriv.calls", 0) <= orders
             assert tracer.counts.get("harmonic.RadialPart.evaluate.calls",
                                      0) == 0
+
+
+@pytest.mark.parametrize("suite,calls", [("suite_prop18", 3),
+                                         ("suite_kernel_consistency", 8)])
+def test_suite_makes_one_series_call_per_grid(suite, calls):
+    # every delta of a grid goes into one kernel series call
+    from hyperharm.config import RunConfig
+    hh = _package()
+    hh.kernels._Fl_scalar.cache_clear()
+    tracer = tracing.Tracer()
+    hooks = tracing.Hooks(hh, tracer)
+    try:
+        getattr(hh.verify, suite)(RunConfig(seed=42))
+    finally:
+        hooks.close()
+    assert hooks.missing == {}
+    assert tracer.counts["kernels.poisson_hyp_series_rt.calls"] == calls
+    info = hh.kernels._Fl_scalar.cache_info()
+    assert info.misses > 0
+    if suite == "suite_prop18":
+        # prop18's three grids share their deltas' normalisers
+        assert info.hits > 0
 
 
 def test_prop18_report_matches_benchmark_reference(tmp_path):

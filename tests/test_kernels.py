@@ -376,6 +376,9 @@ class TestSeries:
         assert np.array_equal(got, series_loop(3, 0.3, t, 0.9999))
         with pytest.raises(NonConvergence):
             ker.poisson_hyp_series_rt(3, 0.9, t, 0.9999)
+        # one delta's failing normaliser fails the call for every delta
+        with pytest.raises(NonConvergence):
+            ker.poisson_hyp_series_rt(3, 0.9, t, np.array([[0.5], [0.9999]]))
 
     def test_duplicated_permuted_and_subset_pairs(self):
         rng = np.random.default_rng(11)
@@ -474,6 +477,66 @@ class TestSeries:
     def test_truncation_warning(self):
         with pytest.warns(TruncationWarning):
             ker.poisson_hyp_series_rt(6, 0.95, -0.2, 1.0, cap=10)
+
+    def test_delta_grid_matches_stacked_calls(self, monkeypatch):
+        # a call over delta x r x t gives each delta's own call bit for bit,
+        # each side from cold caches, with one TruncationWarning per call
+        # at most
+        def cold(*args, **kw):
+            for cache in (ker._Fl_scalar, ker._mp_table):
+                cache.cache_clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = ker.poisson_hyp_series_rt(*args, **kw)
+            return out, sum(issubclass(w.category, TruncationWarning)
+                            for w in caught)
+
+        def check(n, r, t, deltas, **kw):
+            got, warned = cold(n, r, t, deltas[:, None, None], **kw)
+            alone = [cold(n, r, t, d, **kw) for d in deltas]
+            assert got.shape == np.broadcast_shapes(
+                deltas[:, None, None].shape, np.shape(r), np.shape(t))
+            want = np.stack([a for a, _ in alone]).reshape(got.shape)
+            assert np.array_equal(got, want)
+            assert warned == max(w for _, w in alone) <= 1
+            return warned
+
+        deltas = np.array([0.0, 0.5, 0.95, 1.0])
+        r = np.array([0.0, 0.3, 0.9, 0.95])[:, None]
+        t = np.concatenate([np.linspace(-1.0, 1.0, 9), [-0.9957, 0.123]])
+        for n in (3, 4, 5, 6):
+            check(n, r, t, deltas, mp_amplification=np.inf)
+        # the mpmath fallback on, at points near t = -1 where it is taken
+        fallback = []
+        mp_point = ker._series_point_mp
+        monkeypatch.setattr(ker, "_series_point_mp",
+                            lambda *a, **k: fallback.append(a[3])
+                            or mp_point(*a, **k))
+        check(6, 0.9, np.array([-1.0, -0.9957, -0.96, 0.3]), deltas[1:])
+        assert set(fallback) == {0.95, 1.0}
+        # the retry path, degree by degree past every stop at delta 0.9999
+        check(3, 0.3, np.linspace(-1.0, 1.0, 9), np.array([0.5, 0.9999]))
+        # truncated at the cap for every delta: one warning for the call
+        assert check(5, 0.95, np.array([-0.2, 0.4]), deltas, cap=10) == 1
+        # a delta per point, against one call per point
+        rng = np.random.default_rng(3)
+        d = rng.choice(deltas, 12)
+        rp = rng.choice([0.2, 0.7], 12)
+        tp = rng.uniform(-1.0, 1.0, 12)
+        got = ker.poisson_hyp_series_rt(4, rp, tp, d)
+        assert np.array_equal(got, np.concatenate(
+            [ker.poisson_hyp_series_rt(4, *p) for p in zip(rp, tp, d)]))
+
+    @pytest.mark.parametrize("r,t,delta", [
+        (1.2, 0.3, 0.5), (1.0, 0.3, 0.5), (-0.5, 0.3, 0.5),
+        (np.nan, 0.3, 0.5), (0.5, 1.5, 0.5), (0.5, -np.inf, 1.0),
+        (0.5, np.nan, 0.5), (0.5, 0.3, 1.5), (0.5, 0.3, np.nan),
+        (0.5, 0.3, [0.5, -0.1])])
+    def test_outside_domain_raises_at_entry(self, r, t, delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                ker.poisson_hyp_series_rt(3, r, t, delta)
 
 
 class TestDecomposition:

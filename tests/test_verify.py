@@ -132,13 +132,14 @@ class TestFastSuites:
 
 class TestNanReachesGate:
     def test_nan_mass_error_fails(self, monkeypatch):
-        # a NaN at one delta of the unit-mass loop must not vanish in the
-        # running maximum
+        # a NaN on the delta = 0.5 slice of the unit-mass grid must not
+        # vanish in the running maximum
         series = vf.ker.poisson_hyp_series_rt
 
         def nan_at_half(n, r, t, delta, **kw):
             out = series(n, r, t, delta, **kw)
-            return np.full_like(out, np.nan) if delta == 0.5 else out
+            out[np.broadcast_to(np.asarray(delta) == 0.5, out.shape)] = np.nan
+            return out
 
         monkeypatch.setattr(vf.ker, "poisson_hyp_series_rt", nan_at_half)
         rep = vf.suite_kernel_consistency(CFG)
