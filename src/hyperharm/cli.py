@@ -158,10 +158,7 @@ def cmd_extend(args) -> int:
         for xi, vi in zip(pts, vals):
             w.writerow([f"{r:.17g}"] + [f"{c:.17g}" for c in xi]
                        + [f"{vi:.17g}"])
-    tmp = f"{args.out}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, args.out)
+    fn.write_atomic(args.out, buf.getvalue())
     return EXIT_OK
 
 

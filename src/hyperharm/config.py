@@ -59,7 +59,7 @@ class RunConfig:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # not JSON, or not UTF-8
             raise DataFileError(f"unreadable configuration: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -13,6 +13,7 @@ HarmonicFunction, whose |grad u|^2 and Nu they take exactly.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -91,14 +92,22 @@ class FunctionalResult:
 
     def write_csv(self, path: str) -> None:
         nodes = self.grid.boundary.nodes
-        n = nodes.shape[1]
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["node"] + [f"x{i + 1}" for i in range(n)] + ["value"])
-            for i, (xi, v) in enumerate(zip(nodes, self.values)):
-                w.writerow([i] + [f"{c:.17g}" for c in xi] + [f"{v:.17g}"])
-        os.replace(tmp, path)
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["node"] + [f"x{i + 1}" for i in range(nodes.shape[1])]
+                   + ["value"])
+        for i, (xi, v) in enumerate(zip(nodes, self.values)):
+            w.writerow([i] + [f"{c:.17g}" for c in xi] + [f"{v:.17g}"])
+        write_atomic(path, buf.getvalue())
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path through path.tmp and os.replace, so path never
+    holds half a file; newline="" writes csv's \\r\\n row ends as they are."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,9 @@ class SphereGrid:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-def orthonormal_frame(*axes, n: int | None = None) -> list[np.ndarray]:
-    """Gram-Schmidt frame whose leading vectors follow the given axes
+def orthonormal_frame(*axes, n: int) -> list[np.ndarray]:
+    """Gram-Schmidt frame in R^n whose leading vectors follow the given axes
     (degenerate axes replaced by coordinate directions), padded to 3 vectors."""
-    if n is None:
-        n = len(axes[0])
     out: list[np.ndarray] = []
     cands = [np.asarray(a, dtype=float) for a in axes]
     cands += list(np.eye(n))

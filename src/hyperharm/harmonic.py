@@ -217,100 +217,88 @@ def _radius_cosine(pts, pole):
 
 @dataclass(frozen=True)
 class HarmonicFunction:
-    """Finite mode expansion on the ball.
+    """Finite mode expansion on the ball: modes holds (RadialPart, coeff)
+    pairs in increasing degree, the degree being the radial part's l.
 
-    kind "zonal": modes[l] is a RadialPart with the coefficient folded in,
-    the angular factor being Z_l(<zeta, pole>). kind "sph3" (n = 3): modes[l]
-    is (RadialPart, complex coefficient array over m)."""
+    Zonal data (pole a unit vector): coeff is None, the coefficient is
+    folded into the radial part and the angular factor is Z_l(<zeta, pole>).
+    sph3 data (pole None, n = 3): coeff is the complex array over m = -l..l.
+    """
 
     n: int
-    kind: str
     pole: np.ndarray | None
     modes: tuple
-    delta: float = 1.0
+
+    @property
+    def kind(self) -> str:
+        return "sph3" if self.pole is None else "zonal"
 
     # -- evaluation ---------------------------------------------------------
 
     def eval_rt(self, r, t):
         """Zonal fast path: value at radius r, cosine t to the pole."""
-        if self.kind != "zonal":
+        if self.pole is None:
             raise ValueError("eval_rt applies to zonal expansions")
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)
         out = np.zeros(np.broadcast(r, t).shape)
         if not self.modes:
             return out if out.shape else float(out)
-        lmax = max(l for l, _ in self.modes)
-        Z = sf.zonal_all(lmax, self.n, t)
-        values = _radial_values([rad for _, rad in self.modes], r)
-        for (l, _), rv in zip(self.modes, values):
-            out = out + rv * Z[l]
+        Z = sf.zonal_all(max(rad.l for rad, _ in self.modes), self.n, t)
+        values = _radial_values([rad for rad, _ in self.modes], r)
+        for (rad, _), rv in zip(self.modes, values):
+            out = out + rv * Z[rad.l]
         return out if out.shape else float(out)
 
     def eval_points(self, pts):
         """Value at an array of Cartesian interior points (m x n)."""
-        if self.kind == "zonal":
+        if self.pole is not None:
             return self.eval_rt(*_radius_cosine(pts, self.pole))
-        # sph3
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         safe = np.where(r > 0, r, 1.0)
         theta = np.arccos(np.clip(pts[:, 2] / safe, -1.0, 1.0))
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         out = np.zeros(len(pts), dtype=complex)
-        values = _radial_values([rad for _, (rad, _) in self.modes], r)
-        for (l, (_, coeff)), rv in zip(self.modes, values):
-            ms = np.arange(-l, l + 1)
-            Y = sph_harm_y(np.full_like(ms, l), ms, theta[:, None], phi[:, None])
+        values = _radial_values([rad for rad, _ in self.modes], r)
+        for (rad, coeff), rv in zip(self.modes, values):
+            ms = np.arange(-rad.l, rad.l + 1)
+            Y = sph_harm_y(np.full_like(ms, rad.l), ms, theta[:, None],
+                           phi[:, None])
             out = out + rv * np.einsum("ij,j->i", Y, coeff)  # not @, as above
         return out.real
 
     # -- structural helpers -------------------------------------------------
 
     def _map_radial(self, fn) -> "HarmonicFunction":
-        if self.kind == "zonal":
-            modes = tuple((l, fn(l, rad)) for l, rad in self.modes)
-            modes = tuple((l, rad) for l, rad in modes if not rad.is_zero())
-        else:
-            modes = tuple((l, (fn(l, rad), coeff))
-                          for l, (rad, coeff) in self.modes)
-            modes = tuple((l, rc) for l, rc in modes if not rc[0].is_zero())
-        return replace(self, modes=modes)
+        """fn applied to every radial part; modes it sends to zero drop."""
+        modes = ((fn(rad), coeff) for rad, coeff in self.modes)
+        return replace(self, modes=tuple(m for m in modes
+                                         if not m[0].is_zero()))
 
     def scale(self, c: float) -> "HarmonicFunction":
-        return self._map_radial(lambda l, rad: rad.scale(c))
+        return self._map_radial(lambda rad: rad.scale(c))
 
     def add(self, other: "HarmonicFunction") -> "HarmonicFunction":
-        if (self.n, self.kind, self.delta) != (other.n, other.kind,
-                                               other.delta):
+        """A mode of other merges into the mode of the same degree with an
+        equal coefficient (always, for zonal data) through RadialPart.add;
+        otherwise the two modes sit side by side."""
+        if self.n != other.n or (self.pole is None) != (other.pole is None):
             raise ValueError("incompatible expansions")
-        if self.kind == "zonal" and not np.allclose(self.pole, other.pole):
+        if self.pole is not None and not np.allclose(self.pole, other.pole):
             raise ValueError("expansions have different poles")
-        if self.kind == "zonal":
-            acc: dict = {l: rad for l, rad in self.modes}
-            for l, rad in other.modes:
-                acc[l] = acc[l].add(rad) if l in acc else rad
-            modes = tuple(sorted(acc.items()))
-        else:
-            acc = {l: rc for l, rc in self.modes}
-            for l, (rad, coeff) in other.modes:
-                if l in acc:
-                    r0, c0 = acc[l]
-                    same_rad = len(r0.polys) == len(rad.polys) and all(
-                        p.shape == q.shape and np.array_equal(p, q)
-                        for p, q in zip(r0.polys, rad.polys))
-                    if same_rad:
-                        acc[l] = (r0, c0 + coeff)
-                    elif np.allclose(c0, coeff):
-                        acc[l] = (r0.add(rad), c0)
-                    else:
-                        raise ValueError(
-                            "cannot merge sph3 modes differing in both the "
-                            "radial part and the coefficients")
-                else:
-                    acc[l] = (rad, coeff)
-            modes = tuple(sorted(acc.items()))
-        return replace(self, modes=modes)
+        if len({rad.delta for rad, _ in self.modes + other.modes}) > 1:
+            raise ValueError("expansions have different dilations")
+        modes = list(self.modes)
+        for rad, coeff in other.modes:
+            for j, (r0, c0) in enumerate(modes):
+                if r0.l == rad.l and (c0 is None or np.array_equal(c0, coeff)):
+                    modes[j] = (r0.add(rad), c0)
+                    break
+            else:
+                modes.append((rad, coeff))
+        modes.sort(key=lambda m: m[0].l)
+        return replace(self, modes=tuple(modes))
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +310,14 @@ def extend(boundary, delta: float = 1.0) -> HarmonicFunction:
     sum c_l f_l(r^2) r^l Z_l (exact for finite expansions). delta < 1 builds
     the dilated extension directly (see dilate)."""
     if isinstance(boundary, ZonalExpansion):
-        modes = tuple(
-            (l, RadialPart.base(l, boundary.n, float(c)))
-            for l, c in enumerate(boundary.coeffs) if c != 0.0)
-        u = HarmonicFunction(boundary.n, "zonal", boundary.pole, modes)
+        modes = tuple((RadialPart.base(l, boundary.n, float(c)), None)
+                      for l, c in enumerate(boundary.coeffs) if c != 0.0)
+        u = HarmonicFunction(boundary.n, boundary.pole, modes)
     elif isinstance(boundary, Sph3Expansion):
-        modes = tuple(
-            (l, (RadialPart.base(l, 3, 1.0), np.asarray(c, dtype=complex)))
-            for l, c in enumerate(boundary.coeffs)
-            if np.any(np.asarray(c) != 0.0))
-        u = HarmonicFunction(3, "sph3", None, modes)
+        modes = tuple((RadialPart.base(l, 3), np.asarray(c, dtype=complex))
+                      for l, c in enumerate(boundary.coeffs)
+                      if np.any(np.asarray(c) != 0.0))
+        u = HarmonicFunction(3, None, modes)
     else:
         raise TypeError("boundary must be a ZonalExpansion or Sph3Expansion")
     if delta != 1.0:
@@ -344,8 +330,7 @@ def dilate(u: HarmonicFunction, delta0: float) -> HarmonicFunction:
     parameter delta0 when u is harmonic."""
     if not 0.0 < delta0 <= 1.0:
         raise ValueError("dilation parameter must lie in (0, 1]")
-    v = u._map_radial(lambda l, rad: rad.dilate(delta0))
-    return replace(v, delta=u.delta * delta0)
+    return u._map_radial(lambda rad: rad.dilate(delta0))
 
 
 def random_zonal(n: int, lmax: int, rng: np.random.Generator,
@@ -384,20 +369,24 @@ def _finite_array(value, name: str) -> np.ndarray:
 
 
 def load_boundary_data(source) -> "ZonalExpansion | Sph3Expansion":
-    """Parse boundary data from a JSON file path, JSON text, or dict into a
-    ZonalExpansion or Sph3Expansion. Schema: {"n": int, "kind":
-    "zonal-coeffs" | "zonal-samples" | "sph3-coeffs", "pole": [...],
-    "coeffs" | "samples": ...}.
+    """Parse boundary data from a dict, JSON text (a string whose first
+    non-blank character is '{') or a JSON file path into a ZonalExpansion
+    or Sph3Expansion. Schema: {"n": int, "kind": "zonal-coeffs" |
+    "zonal-samples" | "sph3-coeffs", "pole": [...], "coeffs" | "samples":
+    ...}.
     """
     if isinstance(source, dict):
         doc = source
     else:
-        text = None
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except (OSError, TypeError):
-            text = source
+        text = source
+        if not (isinstance(source, str) and source.lstrip().startswith("{")):
+            try:
+                with open(source) as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                why = getattr(exc, "strerror", None) or exc
+                raise DataFileError(
+                    f"cannot read boundary data {source}: {why}") from exc
         try:
             doc = json.loads(text)
         except (json.JSONDecodeError, TypeError) as exc:
@@ -470,7 +459,7 @@ def apply_N(u: HarmonicFunction, k: int = 1) -> HarmonicFunction:
     """k-fold radial derivative N = r d/dr, exact per mode."""
     out = u
     for _ in range(k):
-        out = out._map_radial(lambda l, rad: rad.apply_N())
+        out = out._map_radial(RadialPart.apply_N)
     return out
 
 
@@ -478,18 +467,18 @@ def apply_lap_sigma(u: HarmonicFunction, j: int = 1) -> HarmonicFunction:
     """j-th power of the tangential Laplacian: each degree-l mode scales by
     (-l(l+n-2))^j."""
     return u._map_radial(
-        lambda l, rad: rad.scale(sf.lap_sigma_eigenvalue(l, u.n) ** j))
+        lambda rad: rad.scale(sf.lap_sigma_eigenvalue(rad.l, u.n) ** j))
 
 
 def apply_neg_lap_sigma_half(u: HarmonicFunction) -> HarmonicFunction:
     """Square root of minus the tangential Laplacian: scale by
     sqrt(l(l+n-2))."""
-    return u._map_radial(
-        lambda l, rad: rad.scale(math.sqrt(-sf.lap_sigma_eigenvalue(l, u.n))))
+    return u._map_radial(lambda rad: rad.scale(
+        math.sqrt(-sf.lap_sigma_eigenvalue(rad.l, u.n))))
 
 
 def _mul_poly(u: HarmonicFunction, coeffs) -> HarmonicFunction:
-    return u._map_radial(lambda l, rad: rad.mul_poly(coeffs))
+    return u._map_radial(lambda rad: rad.mul_poly(coeffs))
 
 
 def apply_L(u: HarmonicFunction) -> HarmonicFunction:
@@ -502,7 +491,7 @@ def apply_L(u: HarmonicFunction) -> HarmonicFunction:
     part = _mul_poly(apply_N(u, 2), one_minus)
     part = part.add(_mul_poly(apply_N(u, 1), one_plus).scale(n - 2.0))
     part = part.add(_mul_poly(apply_lap_sigma(u), one_minus))
-    return part._map_radial(lambda l, rad: rad.div_r2())
+    return part._map_radial(RadialPart.div_r2)
 
 
 def apply_D(u: HarmonicFunction) -> HarmonicFunction:
@@ -518,22 +507,20 @@ def gradient_sq(u: HarmonicFunction):
     sum_{i<j} (rotation-derivative u)^2) / r^2 with values combined at the
     evaluation points.
     """
-    if u.kind == "zonal":
-        dr = u._map_radial(lambda l, rad: rad.diff_r())
+    if u.pole is not None:
+        dr = u._map_radial(RadialPart.diff_r)
         # tangential factor: modes l >= 1 with radial part divided by r
-        tang = tuple((l, rad.div_r()) for l, rad in u.modes if l >= 1)
+        tang = tuple(rad.div_r() for rad, _ in u.modes if rad.l >= 1)
 
         def grad2(pts):
             r, t = _radius_cosine(pts, u.pole)
             radial = dr.eval_rt(r, t)
             out = radial ** 2
             if tang:
-                lmax = max(l for l, _ in tang)
-                dZ = sf.zonal_deriv_all(lmax, u.n, t)
+                dZ = sf.zonal_deriv_all(max(rad.l for rad in tang), u.n, t)
                 acc = np.zeros_like(r)
-                values = _radial_values([rad for _, rad in tang], r)
-                for (l, _), rv in zip(tang, values):
-                    acc += rv * dZ[l]
+                for rad, rv in zip(tang, _radial_values(tang, r)):
+                    acc += rv * dZ[rad.l]
                 out = out + (1.0 - t ** 2) * acc ** 2
             return out
 
@@ -566,7 +553,7 @@ def apply_Lij(u: HarmonicFunction, i: int, j: int,
     """Rotation derivative x_i d_j - x_j d_i, k times, acting exactly on
     spherical-harmonic coefficients (n = 3). Preserves harmonicity and the
     degree l; mixes m through the ladder operators."""
-    if u.kind == "zonal":
+    if u.pole is not None:
         if u.n != 3:
             raise UnsupportedDimension(
                 "rotation derivatives need full coefficients; only n = 3 "
@@ -599,25 +586,22 @@ def apply_Lij(u: HarmonicFunction, i: int, j: int,
 
     modes = u.modes
     for _ in range(k):
-        modes = tuple((l, (rad, sign * act(l, coeff)))
-                      for l, (rad, coeff) in modes)
-    modes = tuple((l, rc) for l, rc in modes if np.any(rc[1] != 0.0))
-    return replace(u, modes=modes)
+        modes = tuple((rad, sign * act(rad.l, coeff)) for rad, coeff in modes)
+    return replace(u, modes=tuple(m for m in modes if np.any(m[1] != 0.0)))
 
 
 def zonal_as_sph3(u: HarmonicFunction) -> HarmonicFunction:
     """Re-express an n = 3 zonal mode form in full coefficients, keeping the
     radial parts (so operator history survives the conversion)."""
-    if u.kind != "zonal" or u.n != 3:
+    if u.pole is None or u.n != 3:
         raise UnsupportedDimension("conversion defined for n = 3 zonal forms")
     theta = math.acos(max(-1.0, min(1.0, u.pole[2])))
     phi = math.atan2(u.pole[1], u.pole[0])
     modes = []
-    for l, rad in u.modes:
-        ms = np.arange(-l, l + 1)
-        Y = sph_harm_y(l, ms, theta, phi)
-        modes.append((l, (rad, 4.0 * math.pi * np.conj(Y))))
-    return HarmonicFunction(3, "sph3", None, tuple(modes), u.delta)
+    for rad, _ in u.modes:
+        Y = sph_harm_y(rad.l, np.arange(-rad.l, rad.l + 1), theta, phi)
+        modes.append((rad, 4.0 * math.pi * np.conj(Y)))
+    return HarmonicFunction(3, None, tuple(modes))
 
 
 # ---------------------------------------------------------------------------

@@ -515,11 +515,11 @@ def calibrate_eta_constant(n: int, r: float = 0.0) -> float:
     return 1.0 / val
 
 
-def transfer_integral(func, r: float, n: int, c: float | None = None,
-                      tol: float = 1e-10) -> float:
+def transfer_integral(func, r: float, n: int,
+                      c: float | None = None) -> float:
     """int_0^1 eta(r, s) func(s) ds by Gauss-Jacobi in s (the exact endpoint
-    weights of eta), from 24 nodes, doubled at most six times until the
-    value settles."""
+    weights of eta), from 24 nodes, doubled at most six times until two
+    passes agree to 1e-10."""
     prev = None
     m = 24
     for _ in range(7):
@@ -531,7 +531,8 @@ def transfer_integral(func, r: float, n: int, c: float | None = None,
         scale = 0.5 ** (a + b + 1.0)
         vals = eta_smooth_part(r, s, n, c) * np.asarray(func(s), dtype=float)
         out = scale * float(w @ vals)
-        if prev is not None and abs(out - prev) <= tol * max(abs(out), 1.0):
+        if prev is not None and \
+                abs(out - prev) <= 1e-10 * max(abs(out), 1.0):
             return out
         prev = out
         m *= 2

@@ -171,8 +171,8 @@ def suite_green(config: RunConfig) -> SuiteReport:
     u = _random_u(n, min(config.lmax, 6), rng)
     w = _random_u(n, min(config.lmax, 6), rng)
     pole = u.pole
-    du_dr = u._map_radial(lambda l, rad: rad.diff_r())
-    dw_dr = w._map_radial(lambda l, rad: rad.diff_r())
+    du_dr = u._map_radial(hm.RadialPart.diff_r)
+    dw_dr = w._map_radial(hm.RadialPart.diff_r)
     sphere = geo.sphere_quadrature(n, 160, pole=pole)
     t = sphere.nodes @ pole
     area = geo.sphere_area(n - 1)
@@ -692,8 +692,7 @@ def suite_lipschitz(config: RunConfig) -> SuiteReport:
         l = 2 ** kk
         lac[l] = 4.0 ** (-kk) / sf.zonal_at_one(l, 3)
     uz = hm.extend(hm.ZonalExpansion(n, pole, lac))
-    d3 = uz._map_radial(
-        lambda l, rad: rad.diff_r().diff_r().diff_r())
+    d3 = uz._map_radial(lambda rad: rad.diff_r().diff_r().diff_r())
     zyg = [(1.0 - r) * float(np.max(np.abs(d3.eval_rt(r, tg))))
            for r in 1.0 - 0.5 ** np.arange(2, 12)]
     zyg_ratio = float(np.max(zyg)) / max(zyg[0], 1e-300)
@@ -745,15 +744,9 @@ def write_reports(reports, out_dir: str) -> str:
     w.writerow(["suite", "status", "name", "value", "comparator", "bound",
                 "passed"])
     for rep in reports:
-        _write_atomic(os.path.join(out_dir, f"report-{rep.suite}.txt"),
-                      rep.to_text())
+        fn.write_atomic(os.path.join(out_dir, f"report-{rep.suite}.txt"),
+                        rep.to_text())
         w.writerows(rep.csv_rows())
     csv_path = os.path.join(out_dir, "reports.csv")
-    _write_atomic(csv_path, buf.getvalue())
+    fn.write_atomic(csv_path, buf.getvalue())
     return csv_path
-
-
-def _write_atomic(path: str, text: str) -> None:
-    with open(path + ".tmp", "w") as fh:
-        fh.write(text)
-    os.replace(path + ".tmp", path)

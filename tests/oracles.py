@@ -191,9 +191,9 @@ def eval_rt_per_mode(u, r, t):
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     out = np.zeros(np.broadcast(r, t).shape)
-    Z = sf.zonal_all(max(l for l, _ in u.modes), u.n, t)
-    for l, rad in u.modes:
-        out = out + radial_one_mode(rad, r) * Z[l]
+    Z = sf.zonal_all(max(rad.l for rad, _ in u.modes), u.n, t)
+    for rad, _ in u.modes:
+        out = out + radial_one_mode(rad, r) * Z[rad.l]
     return out
 
 
@@ -207,9 +207,10 @@ def eval_points_per_mode(u, pts):
     theta = np.arccos(np.clip(pts[:, 2] / safe, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     out = np.zeros(len(pts), dtype=complex)
-    for l, (rad, coeff) in u.modes:
-        ms = np.arange(-l, l + 1)
-        Y = sph_harm_y(np.full_like(ms, l), ms, theta[:, None], phi[:, None])
+    for rad, coeff in u.modes:
+        ms = np.arange(-rad.l, rad.l + 1)
+        Y = sph_harm_y(np.full_like(ms, rad.l), ms, theta[:, None],
+                       phi[:, None])
         out = out + radial_one_mode(rad, r) * np.einsum("ij,j->i", Y, coeff)
     return out.real
 
@@ -217,14 +218,14 @@ def eval_points_per_mode(u, pts):
 def gradient_sq_per_mode(u, pts):
     """|grad u|^2 of a zonal extension at Cartesian points, its radial and
     tangential sums taken mode by mode."""
-    dr = u._map_radial(lambda l, rad: rad.diff_r())
-    tang = [(l, rad.div_r()) for l, rad in u.modes if l >= 1]
+    dr = u._map_radial(hm.RadialPart.diff_r)
+    tang = [rad.div_r() for rad, _ in u.modes if rad.l >= 1]
     r, t = hm._radius_cosine(pts, u.pole)
     out = eval_rt_per_mode(dr, r, t) ** 2
-    dZ = sf.zonal_deriv_all(max(l for l, _ in tang), u.n, t)
+    dZ = sf.zonal_deriv_all(max(rad.l for rad in tang), u.n, t)
     acc = np.zeros_like(r)
-    for l, rad in tang:
-        acc += radial_one_mode(rad, r) * dZ[l]
+    for rad in tang:
+        acc += radial_one_mode(rad, r) * dZ[rad.l]
     return out + (1.0 - t ** 2) * acc ** 2
 
 

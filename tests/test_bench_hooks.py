@@ -112,7 +112,7 @@ def test_eval_rt_makes_one_fl_deriv_call_per_radial_order():
     u = hh.harmonic.extend(hh.harmonic.random_zonal(3, 256, rng, decay=1.5))
     t = np.linspace(-1.0, 1.0, 7)
     for v in (u, hh.harmonic.apply_N(u, 2)):
-        orders = max(len(rad.polys) for _, rad in v.modes)
+        orders = max(len(rad.polys) for rad, _ in v.modes)
         for r in (0.5, 0.98):
             tracer = tracing.Tracer()
             hooks = tracing.Hooks(hh, tracer)

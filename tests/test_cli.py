@@ -257,6 +257,28 @@ class TestBoundaryData:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["functional", "extend"])
+    @pytest.mark.parametrize("what", ["missing", "directory", "binary"])
+    def test_unreadable_data_path_exit_3(self, capsys, tmp_path, command,
+                                         what):
+        # a path that cannot be read is named, not parsed as JSON text
+        path = tmp_path / "data.json"
+        if what == "directory":
+            path.mkdir()
+        elif what == "binary":
+            path.write_bytes(b"\xff\xfe{")
+        out_path = tmp_path / "out.csv"
+        argv = [command, "--data", str(path), "--out", str(out_path)]
+        if command == "functional":
+            argv[1:1] = ["--kind", "M"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and "Traceback" not in err
+        assert "Expecting value" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["functional", "extend"])
     def test_overflowing_data_exit_3(self, capsys, tmp_path, command):
         # finite coefficients whose extension overflows: one error line, no
         # numpy warning, no output file
@@ -523,6 +545,16 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "r").exists()
+
+    def test_binary_config_exit_3(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe{")
+        code, out, err = run_cli(capsys, "verify", "green",
+                                 "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "r"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_config_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

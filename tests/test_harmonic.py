@@ -1,6 +1,7 @@
 """Tests for harmonic extension, the exact mode-form operators, and the
 finite-difference oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +142,73 @@ class TestExtension:
         order = hm.fd_order(lambda y: u.eval_points(y[None])[0], pts, n,
                             h0=2e-2)
         assert abs(order - 2.0) < 0.2
+
+
+def random_sph3(lmax, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return hm.extend(hm.Sph3Expansion(tuple(
+        scale * (rng.standard_normal(2 * l + 1)
+                 + 1j * rng.standard_normal(2 * l + 1))
+        for l in range(lmax + 1))))
+
+
+class TestModeLayout:
+    def test_fields_and_modes(self):
+        assert [f.name for f in dataclasses.fields(hm.HarmonicFunction)] \
+            == ["n", "pole", "modes"]
+        uz = sample_u(4)
+        for u, kind in ((uz, "zonal"), (hm.dilate(uz, 0.5), "zonal"),
+                        (hm.zonal_as_sph3(sample_u(3)), "sph3"),
+                        (random_sph3(3, 1), "sph3")):
+            assert u.kind == kind
+            degrees = [rad.l for rad, _ in u.modes]
+            assert degrees == sorted(degrees)
+            for rad, coeff in u.modes:
+                assert isinstance(rad, hm.RadialPart)
+                if kind == "zonal":
+                    assert coeff is None
+                else:
+                    assert coeff.shape == (2 * rad.l + 1,)
+
+
+class TestAdd:
+    def test_refusals(self):
+        u = sample_u(3)
+        cases = [
+            (u, sample_u(4)),
+            (u, hm.zonal_as_sph3(u)),
+            (u, hm.extend(hm.ZonalExpansion(3, e_vec(3, 1),
+                                            [0.5, 0.3]))),
+            (u, hm.dilate(u, 0.5)),
+            # no degree in common: the dilations still differ
+            (hm.extend(hm.ZonalExpansion(3, e_vec(3), [1.0])),
+             hm.dilate(hm.extend(hm.ZonalExpansion(3, e_vec(3),
+                                                   [0.0, 1.0])), 0.5)),
+        ]
+        for a, b in cases:
+            with pytest.raises(ValueError):
+                a.add(b)
+            with pytest.raises(ValueError):
+                b.add(a)
+
+    def test_zonal_degrees_merge(self):
+        u = sample_u(4, lmax=5)
+        s = u.add(hm.apply_N(u))
+        assert [rad.l for rad, _ in s.modes] == [rad.l for rad, _ in u.modes]
+
+    def test_sph3_near_equal_coefficients_stay_apart(self):
+        # coefficients 5e-6 apart in relative terms and different radial
+        # parts: the sum must hold both modes of each degree, not merge
+        # them under one coefficient
+        a = random_sph3(4, 5)
+        b = hm.apply_N(random_sph3(4, 5, scale=1.0 + 5e-6))
+        s = a.add(b)
+        pts = interior_points(3, m=12, seed=3)
+        want = a.eval_points(pts) + b.eval_points(pts)
+        assert np.max(np.abs(s.eval_points(pts) - want)) \
+            <= 1e-12 * np.max(np.abs(want))
+        # an equal coefficient merges: N u + u keeps one mode per degree
+        assert len(a.add(hm.apply_N(a)).modes) == len(a.modes)
 
 
 class TestOperators:

@@ -102,7 +102,7 @@ def test_diff_r_matches_numpy_polynomial(n):
     for delta in (1.0, 0.8):
         u = _zonal(n, 12, n, delta)
         for v in (u, hm.apply_N(u), hm.apply_L(u), hm.apply_D(u)):
-            for rad in [rad for _, rad in v.modes] + [signed]:
+            for rad in [rad for rad, _ in v.modes] + [signed]:
                 for _ in range(2):  # d/dr and d^2/dr^2
                     got, want = rad.diff_r(), diff_r_polynomial(rad)
                     assert len(got.polys) == len(want.polys)
