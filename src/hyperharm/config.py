@@ -29,8 +29,8 @@ class RunConfig:
             raise ValueError("out_dir must be a string")
         if self.n < 3:
             raise ValueError("dimension must be at least 3")
-        if self.lmax < 0:
-            raise ValueError("lmax must be nonnegative")
+        if self.lmax < 1:
+            raise ValueError("lmax must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("aperture must lie in (0, 1)")
         if not self.ps:

@@ -19,10 +19,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import geometry as geo
 from . import harmonic as hm
+from . import specfun as sf
 from .errors import QuadratureFailure, UnsupportedRequest
 from .geometry import ConeRegion, SphereGrid
 
@@ -244,7 +244,7 @@ def littlewood_paley_g(u, grid: FunctionalGrid,
     nodes = grid.boundary.nodes
     n = nodes.shape[1]
     q = _square_func(u, radial_only)
-    xg, wg = roots_legendre(8)
+    xg, wg = sf.gauss_jacobi(8)
     edges = np.concatenate([[0.0], grid.radii])
     ts, tw = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -279,7 +279,7 @@ def ray_integral_Il(f, l: float, x) -> float:
     if r == 0.0:
         return 0.0
     zeta = x / r
-    xg, wg = roots_legendre(12)
+    xg, wg = sf.gauss_jacobi(12)
     panels = 4
     prev = None
     for _ in range(12):

@@ -7,15 +7,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import roots_chebyt, roots_gegenbauer, roots_legendre
 
+from . import specfun as sf
 from .errors import UnsupportedRequest
 
 
 def sphere_area(d: int) -> float:
     """Surface area of the d-sphere S^d embedded in R^{d+1}."""
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / _gamma((d + 1) / 2.0)
+    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +97,8 @@ def orthonormal_frame(*axes, n: int) -> list[np.ndarray]:
 def _angular_weight_rule(n: int, m: int):
     """Nodes s_i and weights such that sum_i w_i f(s_i) approximates
     int_{S^{n-2}} f(<omega, e>) dOmega = A_{n-3} int f(s)(1-s^2)^{(n-4)/2} ds."""
-    if n == 3:
-        s, w = roots_chebyt(m)  # weight (1-s^2)^{-1/2}
-        scale = 2.0  # A_0, the two points of S^0
-    else:
-        # roots_gegenbauer(m, lam) integrates against (1-s^2)^{lam - 1/2}
-        s, w = roots_gegenbauer(m, (n - 3) / 2.0)
-        scale = sphere_area(n - 3)
-    return s, w * scale
+    s, w = sf.gauss_jacobi(m, (n - 4) / 2.0, (n - 4) / 2.0)
+    return s, w * (2.0 if n == 3 else sphere_area(n - 3))  # A_0 = 2
 
 
 def sphere_quadrature(n: int, degree: int, full: bool = False,
@@ -124,7 +117,7 @@ def sphere_quadrature(n: int, degree: int, full: bool = False,
         if n != 3:
             raise UnsupportedRequest("full sphere grids exist only for n = 3")
         m = max(degree // 2 + 1, 2)
-        tq, tw = roots_legendre(m)
+        tq, tw = sf.gauss_jacobi(m)
         naz = max(degree + 1, 4)
         phi = 2.0 * math.pi * np.arange(naz) / naz
         st = np.sqrt(1.0 - tq ** 2)
@@ -135,12 +128,8 @@ def sphere_quadrature(n: int, degree: int, full: bool = False,
         w = np.repeat(tw, naz) / (2.0 * naz)
         return SphereGrid(nodes, w, zonal_only=False, pole=pole)
     m = max(degree // 2 + 1, 2)
-    if n == 3:
-        t, w = roots_legendre(m)
-        w = w / 2.0
-    else:
-        t, w = roots_gegenbauer(m, (n - 2) / 2.0)
-        w = w / w.sum()
+    t, w = sf.gauss_jacobi(m, (n - 3) / 2.0, (n - 3) / 2.0)
+    w = w / 2.0 if n == 3 else w / w.sum()
     e1, e2, _ = orthonormal_frame(pole, n=n)
     nodes = np.outer(t, e1) + np.outer(np.sqrt(1.0 - t ** 2), e2)
     return SphereGrid(nodes, w, zonal_only=True, pole=pole)
@@ -173,7 +162,7 @@ def ball_quadrature(n: int, center, radius: float, n_radial: int = 24,
         axis2 = np.eye(n)[min(1, n - 1)]
     e1, e2, e3 = orthonormal_frame(axis1, axis2, n=n)
 
-    rq, rw = roots_legendre(n_radial)
+    rq, rw = sf.gauss_jacobi(n_radial)
     rho = 0.5 * radius * (rq + 1.0)
     rhow = 0.5 * radius * rw * rho ** (n - 1)
 
@@ -181,7 +170,7 @@ def ball_quadrature(n: int, center, radius: float, n_radial: int = 24,
     # w = sin(psi)(cos th, sin th), remainder on +-e3 with half weight;
     # ordered psi, theta, sign. Trig and powers are taken per scalar, as
     # numpy's array versions may round differently.
-    pq, pw = roots_legendre(n_psi)
+    pq, pw = sf.gauss_jacobi(n_psi)
     psi = (0.25 * math.pi * (pq + 1.0)).tolist()
     psw = 0.25 * math.pi * pw
     th = (2.0 * math.pi * np.arange(n_theta) / n_theta).tolist()
@@ -223,8 +212,8 @@ def cone_quadrature(region: ConeRegion, n: int, r_max: float,
     # frame: first vector xi, second toward the part of pole orthogonal to xi
     _, e2, e3 = orthonormal_frame(xi, pole, n=n)
 
-    gq, gw = roots_legendre(n_radial)
-    pq, pw = roots_legendre(n_polar)
+    gq, gw = sf.gauss_jacobi(n_radial)
+    pq, pw = sf.gauss_jacobi(n_polar)
     s_nodes, s_w = _angular_weight_rule(n, n_angular)
 
     edges = [0.0] + [1.0 - 0.5 ** (j + 1) for j in range(shells)]

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import roots_legendre, sph_harm_y
 
 from . import geometry as geo
 from . import specfun as sf
@@ -262,9 +261,7 @@ class HarmonicFunction:
         out = np.zeros(len(pts), dtype=complex)
         values = _radial_values([rad for rad, _ in self.modes], r)
         for (rad, coeff), rv in zip(self.modes, values):
-            ms = np.arange(-rad.l, rad.l + 1)
-            Y = sph_harm_y(np.full_like(ms, rad.l), ms, theta[:, None],
-                           phi[:, None])
+            Y = sf.sph_harm(rad.l, theta, phi)
             out = out + rv * np.einsum("ij,j->i", Y, coeff)  # not @, as above
         return out.real
 
@@ -599,7 +596,7 @@ def zonal_as_sph3(u: HarmonicFunction) -> HarmonicFunction:
     phi = math.atan2(u.pole[1], u.pole[0])
     modes = []
     for rad, _ in u.modes:
-        Y = sph_harm_y(rad.l, np.arange(-rad.l, rad.l + 1), theta, phi)
+        Y = sf.sph_harm(rad.l, theta, phi)
         modes.append((rad, 4.0 * math.pi * np.conj(Y)))
     return HarmonicFunction(3, None, tuple(modes))
 
@@ -676,7 +673,7 @@ def invert_N_from_ray(v_func, r: float, n: int, k: int) -> float:
     def integrand(t):
         return v_func(t) * t ** a * (1.0 - t ** 2) ** (k - n)
 
-    xg, wg = roots_legendre(16)
+    xg, wg = sf.gauss_jacobi(16)
     prev = None
     panels = 4
     for _ in range(10):

@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, roots_jacobi
 
 from . import specfun as sf
 from .errors import (NonConvergence, QuadratureFailure, TruncationWarning,
@@ -482,7 +481,8 @@ def eta_constant(n: int) -> float:
     c s^{n/2-1} (1-s)^{n/2-2}, so c = 1/B(n/2, n/2-1)."""
     if n < 3:
         raise UnsupportedDimension("transfer kernel needs n >= 3")
-    return math.exp(-betaln(n / 2.0, n / 2.0 - 1.0))
+    return math.exp(math.lgamma(n - 1.0) - math.lgamma(n / 2.0)
+                    - math.lgamma(n / 2.0 - 1.0))
 
 
 def eta_kernel(r, s, n: int, c: float | None = None):
@@ -526,7 +526,7 @@ def transfer_integral(func, r: float, n: int,
         # weight (1-x)^a (1+x)^b on [-1,1]; s=(1+x)/2 gives
         # (1-s)^a s^b ds = ((1-x)/2)^a ((1+x)/2)^b dx/2
         a, b = n / 2.0 - 2.0, n / 2.0 - 1.0
-        x, w = roots_jacobi(m, a, b)
+        x, w = sf.gauss_jacobi(m, a, b)
         s = 0.5 * (x + 1.0)
         scale = 0.5 ** (a + b + 1.0)
         vals = eta_smooth_part(r, s, n, c) * np.asarray(func(s), dtype=float)

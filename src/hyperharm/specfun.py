@@ -14,7 +14,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import NonConvergence
 
@@ -39,6 +38,48 @@ def pochhammer(a: float, k: int) -> float:
     for j in range(k):
         out *= a + j
     return out
+
+
+@lru_cache(maxsize=None)
+def gauss_jacobi(m: int, a: float = 0.0, b: float = 0.0):
+    """m-point Gauss rule for the weight (1 - x)^a (1 + x)^b on [-1, 1]:
+    (nodes ascending, weights), both read-only. Legendre is (0, 0),
+    Chebyshev (-1/2, -1/2) and Gegenbauer lam (lam - 1/2, lam - 1/2).
+
+    Golub-Welsch nodes, one Newton step on the orthonormal three-term
+    recurrence, Christoffel weights 1 / sum_{j<m} p_j(x)^2, and symmetric
+    nodes and weights when a = b."""
+    j = np.arange(m, dtype=float)
+    s = 2.0 * j + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = np.where(s == 0.0, (b - a) / (a + b + 2.0),
+                        (b * b - a * a) / (s * (s + 2.0)))
+        j, s = j[1:], s[1:]  # beta_1 has its (1 + a + b) factor cancelled
+        off = np.sqrt(np.where(j == 1.0, 4.0 * (1.0 + a) * (1.0 + b)
+                               / ((2.0 + a + b) ** 2 * (3.0 + a + b)),
+                               4.0 * j * (j + a) * (j + b) * (j + a + b)
+                               / (s * s * (s + 1.0) * (s - 1.0))))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p0 = math.exp(-0.5 * ((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                          + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)))
+
+    def sweep(x):  # p_m, p_m' and sum_{j<m} p_j^2 at x
+        p, q, dp, dq, ssq = np.full_like(x, p0), 0.0 * x, 0.0 * x, 0.0, 0.0
+        for k in range(m):
+            ssq = ssq + p * p
+            beta = off[k - 1] if k else 0.0
+            nxt = off[k] if k < m - 1 else 1.0  # p_m up to a constant
+            p, q, dp, dq = (((x - diag[k]) * p - beta * q) / nxt, p,
+                            (p + (x - diag[k]) * dp - beta * dq) / nxt, dp)
+        return p, dp, ssq
+
+    p, dp, _ = sweep(x)
+    x = x - p / dp
+    w = 1.0 / sweep(x)[2]
+    if a == b:
+        x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_Fl_at_one(l: int, n: int) -> float:
@@ -147,7 +188,7 @@ def _euler_panels():
     """Composite Gauss-Legendre rule on [0,1), 12 nodes on each of 40 panels
     refined geometrically toward t = 1, so integrands with endpoint scales
     down to ~2^-40 are resolved uniformly."""
-    xg, wg = roots_legendre(12)
+    xg, wg = gauss_jacobi(12)
     ts, ws = [], []
     lo = 0.0
     for j in range(40):
@@ -293,6 +334,28 @@ def zonal_at_one(l: int, n: int) -> float:
     c1 = math.exp(math.lgamma(2.0 * lam + l) - math.lgamma(2.0 * lam)
                   - math.lgamma(l + 1.0))
     return (2.0 * l + n - 2.0) / (n - 2.0) * c1
+
+
+def sph_harm(l: int, theta, phi):
+    """Y_l^m(theta, phi) on the 2-sphere for m = -l..l along a new last
+    axis (theta polar, phi azimuth): the fully normalized associated-Legendre
+    recurrence in degree at fixed m from P_m^m ~ sin^m theta, with the
+    Condon-Shortley phase and Y_l^-m = (-1)^m conj(Y_l^m)."""
+    theta = np.asarray(theta, dtype=float)[..., None]
+    x, m = np.cos(theta), np.arange(l + 1)
+    seed = np.cumprod(np.where(m > 0, -np.sqrt((m + 0.5) / np.maximum(m, 1))
+                               * np.sin(theta), 0.5 / math.sqrt(math.pi)),
+                      axis=-1)  # P_m^m for every m
+    p, q, b_prev = np.where(m == 0, seed, 0.0), 0.0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(1, l + 1):
+            b = np.sqrt(np.maximum(d * d - m * m, 0) / (4.0 * d * d - 1.0))
+            p, q = np.where(m < d, (x * p - b_prev * q) / b,
+                            np.where(m == d, seed, 0.0)), p
+            b_prev = b
+    pos = p * np.exp(1j * m * np.asarray(phi, dtype=float)[..., None])
+    neg = np.where(m % 2, -1.0, 1.0) * np.conj(pos)
+    return np.concatenate([neg[..., :0:-1], pos], axis=-1)
 
 
 def lap_sigma_eigenvalue(l: int, n: int) -> float:

@@ -616,9 +616,8 @@ def _project_singular_zonal(gamma: float, t0: float, lmax: int) -> np.ndarray:
     """Zonal coefficients of |t - t0|^gamma on the 2-sphere. Gauss-Jacobi
     nodes on each side of t0 absorb |t - t0|^gamma as the quadrature weight,
     so the remaining polynomial factor Z_l integrates exactly."""
-    from scipy.special import roots_jacobi
     nq = lmax // 2 + 8
-    x, w = roots_jacobi(nq, 0.0, gamma)  # weight (1+x)^gamma on [-1, 1]
+    x, w = sf.gauss_jacobi(nq, 0.0, gamma)  # weight (1+x)^gamma on [-1, 1]
     s = 0.5 * (1.0 + x)
     acc = np.zeros(lmax + 1)
     for half_len, sign in ((1.0 - t0, 1.0), (1.0 + t0, -1.0)):

@@ -530,6 +530,28 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("suite", ["theorem-a", "hardy-sobolev", "all"])
+    def test_lmax_zero_exit_2(self, capsys, tmp_path, suite):
+        # degree-0 data is constant, so every band ratio would be 0/0
+        code, out, err = run_cli(capsys, "verify", suite, "--lmax", "0",
+                                 "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert out == ""
+        assert err == "error: lmax must be at least 1\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_lmax_zero_config_exit_3(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lmax": 0}))
+        code, out, err = run_cli(capsys, "verify", "theorem-a",
+                                 "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "r"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lmax must be at least 1" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("doc", [{"n": 3.5}, {"lmax": 2.5},
                                      {"seed": 1.5}, {"seed": "7"},
                                      {"seed": -3}, {"out_dir": 5},

@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
-from scipy.special import roots_legendre
 
 from hyperharm import geometry as geo
 from hyperharm import specfun as sf
@@ -53,8 +52,8 @@ def cone_quadrature_loop(region, n, r_max, pole=None, shells=18, n_radial=4,
     pole = np.asarray(pole, dtype=float)
     _, e2, e3 = geo.orthonormal_frame(xi, pole, n=n)
 
-    gq, gw = roots_legendre(n_radial)
-    pq, pw = roots_legendre(n_polar)
+    gq, gw = sf.gauss_jacobi(n_radial)
+    pq, pw = sf.gauss_jacobi(n_polar)
     s_nodes, s_w = geo._angular_weight_rule(n, n_angular)
 
     edges = [0.0] + [1.0 - 0.5 ** (j + 1) for j in range(shells)]
@@ -91,10 +90,10 @@ def ball_quadrature_loop(n, center, radius, n_radial=24, n_psi=12,
     if axis2 is None:
         axis2 = np.eye(n)[min(1, n - 1)]
     e1_, e2_, e3_ = geo.orthonormal_frame(axis1, axis2, n=n)
-    rq, rw = roots_legendre(n_radial)
+    rq, rw = sf.gauss_jacobi(n_radial)
     rho = 0.5 * radius * (rq + 1.0)
     rhow = 0.5 * radius * rw * rho ** (n - 1)
-    pq, pw = roots_legendre(n_psi)
+    pq, pw = sf.gauss_jacobi(n_psi)
     psi = 0.25 * math.pi * (pq + 1.0)
     psw = 0.25 * math.pi * pw
     th = 2.0 * math.pi * np.arange(n_theta) / n_theta

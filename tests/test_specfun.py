@@ -1,12 +1,20 @@
-"""Tests for the hypergeometric radial family and zonal harmonics."""
+"""Tests for the hypergeometric radial family, zonal and spherical
+harmonics, and the Gauss-Jacobi rules."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hyperharm import specfun as sf
 from hyperharm.errors import NonConvergence
+from oracles import gauss_jacobi_mp, sph_harm_y
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def series_2f1_oracle(a, b, c, x, terms=200):
@@ -323,3 +331,125 @@ class TestZonal:
         assert sf.lap_sigma_eigenvalue(2, 3) == -6.0
         assert sf.lap_sigma_eigenvalue(2, 4) == -8.0
         assert sf.lap_sigma_eigenvalue(0, 6) == 0.0
+
+
+# The (m, a, b) rules the program asks for: `verify all` builds rules from
+# this set (Legendre, Chebyshev and Gegenbauer grids, lipschitz's (136, 0,
+# gamma)), and kernels.transfer_integral the (n/2 - 2, n/2 - 1) rules.
+PROGRAM_RULES = [(3, 0.0, 0.0), (4, -0.5, -0.5), (4, 0.0, 0.0),
+                 (6, -0.5, -0.5), (8, 0.0, 0.0), (9, 0.5, 0.5),
+                 (12, -0.5, -0.5), (12, 0.0, 0.0), (13, 0.5, 0.5),
+                 (16, 0.0, 0.0), (24, -0.5, 0.5), (32, 0.0, 0.0),
+                 (48, 0.0, 1.0), (81, 0.0, 0.0), (136, 0.0, 0.7),
+                 (151, 0.0, 0.0), (151, 1.5, 1.5)]
+
+
+def jacobi_moment(k, a, b):
+    """int_{-1}^{1} x^k (1-x)^a (1+x)^b dx at 50 digits, from the binomial
+    expansion of x = 2s - 1 into Beta integrals."""
+    import mpmath as mp
+    with mp.workdps(50):
+        a, b = mp.mpf(a), mp.mpf(b)
+        total = mp.fsum(mp.binomial(k, j) * 2 ** j * (-1) ** (k - j)
+                        * mp.beta(j + b + 1, a + 1) for j in range(k + 1))
+        return float(2 ** (a + b + 1) * total)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("m,a,b", PROGRAM_RULES)
+    def test_matches_mpmath_rule(self, m, a, b):
+        x, w = sf.gauss_jacobi(m, a, b)
+        xm, wm = gauss_jacobi_mp(m, a, b, x)
+        assert np.max(np.abs(x - xm)) <= 1e-15
+        assert np.max(np.abs(w / wm - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("m,a,b", [(1, 0.0, 0.0), (4, -0.5, -0.5),
+                                       (6, 0.0, 0.0), (9, 0.5, 0.5),
+                                       (12, -0.5, 0.5), (13, 0.0, 0.7),
+                                       (16, 1.0, 1.0)])
+    def test_exact_on_moments_through_2m_minus_1(self, m, a, b):
+        x, w = sf.gauss_jacobi(m, a, b)
+        for k in range(2 * m):
+            got = float(w @ x ** k)
+            scale = float(w @ np.abs(x) ** k)
+            assert abs(got - jacobi_moment(k, a, b)) <= 1e-13 * scale
+
+    def test_nodes_match_scipy(self):
+        from scipy.special import (roots_chebyt, roots_gegenbauer,
+                                   roots_jacobi, roots_legendre)
+        cases = [(roots_legendre(m), (m, 0.0, 0.0)) for m in (3, 12, 151)]
+        cases += [(roots_chebyt(m), (m, -0.5, -0.5)) for m in (4, 12)]
+        cases += [(roots_gegenbauer(m, lam), (m, lam - 0.5, lam - 0.5))
+                  for m, lam in ((9, 1.0), (151, 2.0))]
+        cases += [(roots_jacobi(m, a, b), (m, a, b))
+                  for m, a, b in ((24, -0.5, 0.5), (48, 0.0, 1.0),
+                                  (136, 0.0, 0.3))]
+        for (xs, ws), key in cases:
+            x, w = sf.gauss_jacobi(*key)
+            assert np.max(np.abs(x - xs)) <= 1e-15, key
+            # same normalization as scipy's rule, whose weights are
+            # themselves off by up to ~1e-10 relative at these m
+            assert np.allclose(w, ws, rtol=1e-9, atol=0.0), key
+
+    def test_rule_is_read_only_and_memoized(self):
+        x, w = sf.gauss_jacobi(5, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+        again = sf.gauss_jacobi(5, 0.0, 0.5)
+        assert again[0] is x and again[1] is w
+
+
+class TestSphHarm:
+    def test_matches_scipy_through_degree_40(self):
+        theta = np.concatenate([[0.0, math.pi, 1e-8, math.pi - 1e-8],
+                                np.linspace(0.01, 3.13, 37)])
+        phi = np.linspace(-math.pi, math.pi, theta.size)
+        for l in range(41):
+            ms = np.arange(-l, l + 1)
+            want = sph_harm_y(np.full_like(ms, l), ms, theta[:, None],
+                              phi[:, None])
+            got = sf.sph_harm(l, theta, phi)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13, l
+
+    def test_scalar_angles(self):
+        got = sf.sph_harm(3, 0.7, -1.2)
+        want = sph_harm_y(3, np.arange(-3, 4), 0.7, -1.2)
+        assert got.shape == (7,)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+# Every former scipy call site of the program, run in a fresh interpreter
+GUARD = """
+import sys
+import numpy as np
+from hyperharm import (cli, config, errors, functionals, geometry, harmonic,
+                       kernels, specfun, verify)
+xi = np.array([1.0, 0.0, 0.0])
+for n in (3, 4):
+    geometry.cone_quadrature(geometry.ConeRegion(0.5, np.eye(n)[0]), n, 0.9)
+    geometry.ball_quadrature(n, np.zeros(n), 0.5)
+geometry.sphere_quadrature(5, 8)
+geometry.sphere_quadrature(3, 8, full=True)
+specfun.fl_deriv(np.arange(1, 6), 3, 0.95, 1)  # the Euler route, x > 0.9
+kernels.transfer_integral(lambda s: np.ones_like(s), 0.4, 3,
+                          c=kernels.eta_constant(3))
+verify._project_singular_zonal(0.5, 0.2, 16)
+u = harmonic.extend(harmonic.ZonalExpansion(3, xi, [0.5, 0.3, 0.2]))
+harmonic.zonal_as_sph3(u).eval_points(np.array([[0.1, 0.2, 0.3]]))
+functionals.ray_integral_Il(u, 0.5, np.array([0.3, 0.1, 0.0]))
+harmonic.invert_N_from_ray(lambda t: t, 0.5, 3, 0)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_program_imports_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
