@@ -61,88 +61,105 @@ def _Fl_scalar(l: int, n: int, x: float):
     return _Fl_at(l, n, [x])[0]
 
 
-_MP_GUARD = 6  # guard digits of the mpmath fallback's tables
+_MP_GUARD = 6  # guard digits of the fallback's tables
+_GUARD_BITS = 20  # guard bits of its integer work
 _MILLER_MAX_STEPS = 4096
 
 
-def _mp_Fl(n: int, x, cap: int, digits: int) -> list:
-    """F_l(x), l = 0..cap, in the current precision by the recurrence F_{l-1}
-    = (1+x) F_l - kappa_l x F_{l+1}, kappa_l = l(l+n-1)/((l+n/2)(l+n/2-1)),
-    normalised by F_0 = 1. F_l is its minimal solution (roots 1 and 1/x), so
-    an error at the start dies out like x^steps: Miller's start (F_{N+1},
-    F_N) = (0, 1) at N = cap + steps, steps = ceil(digits ln 10 / -ln x).
-    As steps grows like 1/(1-x) (29k at x = 0.998, 25 digits), past
-    _MILLER_MAX_STEPS it starts at N = cap from mpmath's hyp2f1, quick there
-    by its 1-x transformation. The result depends on (n, x, digits, cap)."""
-    import mpmath as mp
+def _int_Fl(n: int, x: Fraction, cap: int, digits: int, bits: int):
+    """F_l(x), l = 0..cap, x = X / 2^q in [0, 1), as integers of about bits
+    bits with one common factor, to about 10^-digits relative, by F_{l-1} =
+    (1+x) F_l - kappa_l x F_{l+1}, kappa_l = 4l(l+n-1)/((2l+n)(2l+n-2)),
+    truncated at each step. F_l is its minimal solution, so Miller's start
+    (F_{N+1}, F_N) = (0, 2^bits) at N = cap + steps errs by x^steps =
+    10^-digits. Past _MILLER_MAX_STEPS (steps grows like 1/(1-x)) it starts
+    at N = cap from mpmath's hyp2f1, quick there by its 1-x transformation."""
+    X, q = x.numerator, x.denominator.bit_length() - 1
+    steps = X and math.ceil(digits * math.log(10)
+                            / (q * math.log(2) - math.log(X)))
+    top, f_up, f = cap + steps, 0, 1 << bits
+    if steps > _MILLER_MAX_STEPS:
+        import mpmath as mp
 
-    steps = 0 if x == 0 else math.ceil(digits * math.log(10)
-                                       / -math.log(float(x)))
-    if steps <= _MILLER_MAX_STEPS:
-        top, f_up, f = cap + steps, mp.mpf(0), mp.mpf(1)
-    else:
-        top, h = cap, mp.mpf(n) / 2
-        f_up, f = (mp.hyp2f1(l, 1 - h, l + h, x) for l in (cap + 1, cap))
-    vals, x1 = [], 1 + x
+        with mp.workprec(bits + _GUARD_BITS):
+            h, x = mp.mpf(n) / 2, mp.ldexp(X, -q)
+            f_up, f = (mp.hyp2f1(l, 1 - h, l + h, x) for l in (cap + 1, cap))
+            top, shift = cap, bits - mp.mag(f)
+            f_up, f = int(mp.ldexp(f_up, shift)), int(mp.ldexp(f, shift))
+    vals, x1 = [], (1 << q) + X
     for l in range(top, 0, -1):
         if l <= cap:
             vals.append(f)
-        kappa = mp.mpf(4 * l * (l + n - 1)) / ((2 * l + n) * (2 * l + n - 2))
-        f_up, f = f, x1 * f - kappa * x * f_up
-    return [v / f for v in [f] + vals[::-1]]
+        b = (2 * l + n) * (2 * l + n - 2)
+        f_up, f = f, ((x1 * b * f - 4 * l * (l + n - 1) * X * f_up) >> q) // b
+    return [f] + vals[::-1]
 
 
 @lru_cache(maxsize=16)
 def _mp_table(n: int, r: float, delta: float, digits: int, cap: int):
-    """Per degree l = 0..cap, (w_l, beta_l) in digits-digit arithmetic, such
-    that the kernel series at radius r is sum_l w_l E_l(t). E_l is C_l, the
-    Gegenbauer polynomial of index (n-2)/2, over its leading coefficient
-    s_l: E_0 = 1, E_1 = t, E_l = t E_{l-1} - beta_l E_{l-2}. So w_l =
-    [F_l(delta^2 r^2)/F_l(delta^2)] r^l (2l+n-2)/(n-2) s_l."""
-    import mpmath as mp
-
-    with mp.workdps(digits):
-        rr, dd = mp.mpf(r), mp.mpf(delta)
-        num = _mp_Fl(n, (dd * rr) ** 2, cap, digits)
-        den = _mp_Fl(n, dd ** 2, cap, digits) if delta < 1.0 else [mp.mpf(1)]
-        s = [mp.mpf(1)]
+    """Per degree l = 0..cap, (m_l, s_l) with the weight w_l = m_l / 2^s_l =
+    [F_l(delta^2 r^2)/F_l(delta^2)] r^l (2l+n-2)/(n-2) to digits digits, each
+    with its own exponent (r^l is 1e-47 at r = 0.9, l = 1024): the kernel
+    series at radius r is sum_l w_l C_l(t), C_l Gegenbauer of index (n-2)/2.
+    The arguments of F_l are exact dyadic rationals, and F_l(1) is the
+    product of the exact ratios F_l(1)/F_{l-1}(1) = (l-1+n/2)/(l+n-2)."""
+    bits = math.ceil(digits * math.log2(10))
+    wide = bits + _GUARD_BITS
+    num = _int_Fl(n, (Fraction(delta) * Fraction(r)) ** 2, cap, digits, wide)
+    if delta < 1.0:
+        den = _int_Fl(n, Fraction(delta) ** 2, cap, digits, wide)
+    else:  # extra bits as F_l(1) falls like l^(1-n/2)
+        den = [1 << (wide + n // 2 * cap.bit_length())]
         for l in range(1, cap + 1):
-            s.append(s[-1] * (2 * l + n - 4) / l)
-            if delta == 1.0:
-                # F_l(1) by the exact ratio (l-1+n/2)/(l+n-2) to F_{l-1}(1)
-                den.append(den[-1] * (2 * l - 2 + n) / (2 * (l + n - 2)))
-        return tuple((num[l] / den[l] * rr ** l * (2 * l + n - 2) / (n - 2)
-                      * s[l], (l + n - 4) * s[l - 2] / (l * s[l]) if l > 1
-                      else 0) for l in range(cap + 1))
+            den.append(den[-1] * (2 * l - 2 + n) // (2 * (l + n - 2)))
+    rm, rd = r.as_integer_ratio()  # r = rm / rd, rd a power of 2
+    table, rp, e = [], 1, 0  # r^l = rp / 2^e, rp kept to wide bits
+    for l in range(cap + 1):
+        a = num[l] * den[0] * rp * (2 * l + n - 2)
+        b = num[0] * den[l] * (n - 2)
+        sh = bits - a.bit_length() + b.bit_length()
+        table.append(((a << sh) // b if sh >= 0 else a // (b << -sh), sh + e))
+        cut = max((rp * rm).bit_length() - wide, 0)
+        rp, e = rp * rm >> cut, e + rd.bit_length() - 1 - cut
+    return tuple(table)
 
 
 def _series_point_mp(n: int, r: float, t: float, delta: float,
                      cap: int, dps: int = 40) -> float:
-    """Arbitrary-precision evaluation of the kernel series at one point;
-    used where the zonal terms cancel beyond extended-precision reach. It
-    sums in dps digits over _mp_table at dps + _MP_GUARD digits, rounded up
-    to a multiple of 16 so that nearby precisions share one table. A table
-    depends only on its key, so no earlier point changes this one's value."""
-    import mpmath as mp
-
-    table = _mp_table(n, r, delta, -(-(dps + _MP_GUARD) // 16) * 16, cap)
-    with mp.workdps(dps):
-        tt = mp.mpf(t)
-        e_prev, e, total = mp.mpf(0), mp.mpf(1), mp.mpf(0)  # E_{-1}, E_0
-        tol = mp.mpf(10) ** (-(dps - 5))
-        quiet = 0
-        for l, (w, beta) in enumerate(table):
+    """The kernel series at one point in integers, where its terms cancel
+    beyond extended-precision reach. Weights come from _mp_table at dps +
+    _MP_GUARD digits, rounded up to a multiple of 16 so that nearby points
+    share one table, which depends only on its key. C_l = ((2l+n-4) t
+    C_{l-1} - (l+n-4) C_{l-2}) / l and the sum run at one scale 2^-S, S the
+    table's bits plus _GUARD_BITS; the stop rule |term| <= tol (|total| +
+    tol), tol = 10^-(dps-5), is an exact comparison. Where the weights'
+    error, about 2^-bits sum|term|, is not below 2^-60 |total| (dps comes
+    from a long-double |total|, noise past 1e19 cancellation), the point is
+    redone at the precision that suffices. Returns total / 2^S, correctly
+    rounded."""
+    T, u = t.as_integer_ratio()
+    u = u.bit_length() - 1  # t = T / 2^u
+    inv, inv2 = 10 ** (dps - 5), 10 ** (2 * (dps - 5))  # 1/tol, 1/tol^2
+    digits = dps + _MP_GUARD
+    while True:
+        digits = -(-digits // 16) * 16
+        bits = math.ceil(digits * math.log2(10))
+        one = 1 << (bits + _GUARD_BITS)
+        c_prev, c, total, mass, quiet = 0, one, 0, 0, 0  # C_{-1}, C_0
+        for l, (m, s) in enumerate(_mp_table(n, r, delta, digits, cap)):
             if l:
-                e_prev, e = e, tt * e - beta * e_prev
-            term = w * e
-            total += term
-            if abs(term) <= tol * (abs(total) + tol):
-                quiet += 1
-                if quiet >= 5:
-                    break
-            else:
-                quiet = 0
-        return float(total)
+                c_prev, c = c, (((2 * l + n - 4) * T * c >> u)
+                                - (l + n - 4) * c_prev) // l
+            term = m * c >> s
+            total, mass = total + term, mass + abs(term)
+            quiet = (quiet + 1 if abs(term) * inv2 <= inv * abs(total) + one
+                     else 0)
+            if quiet == 5:
+                break
+        need = 61 + mass.bit_length() - abs(total).bit_length()
+        if need <= bits or bits > 4000:  # 2^-4000: far below any double
+            return total / one
+        digits = math.ceil(need / math.log2(10))
 
 
 def _running(op, carry, rows):
@@ -190,11 +207,12 @@ def poisson_hyp_series_rt(n: int, r, t, delta, cap: int = SERIES_CAP,
 
     Each (delta, r, t) triple stops on its own once five consecutive terms
     fall below SERIES_TAIL_TOL, and where its terms cancelled by more than
-    mp_amplification it is redone in arbitrary precision, from radial ratios
-    of a backward recurrence in l (_mp_Fl); on acceptance criterion 01's
-    delta = 1 grid those points are within 9e-16 relative of the closed
-    form. Each distinct triple is summed once, and its value depends neither
-    on the other triples in the call nor on earlier calls.
+    mp_amplification it is redone in high precision on Python integers
+    (_series_point_mp); on acceptance criterion 01's delta = 1 grid those 21
+    points are within 9.5e-17 relative of the closed form. An infinite
+    mp_amplification skips the sums of |term| that test reads. Each distinct
+    triple is summed once, and its value depends neither on the other
+    triples in the call nor on earlier calls.
     Emits TruncationWarning when any triple reaches the cap first, and
     raises NonConvergence when any delta's F_l(delta^2) does not converge.
     """
@@ -215,6 +233,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta, cap: int = SERIES_CAP,
     dr_of, t_of = np.divmod(trips, t_u.size)
     dr_d, dr_r = d_u[dr // r_u.size], r_u[dr % r_u.size]
     total, abs_total = np.zeros((2, trips.size), dtype=_LD)
+    fallback = np.isfinite(mp_amplification)
     lam = (_LD(n) - 2) / 2
     # the active set: the triples still summing, their running state, and
     # their places (rad, ang) among the radial entries and angles in use.
@@ -277,7 +296,8 @@ def poisson_hyp_series_rt(n: int, r, t, delta, cap: int = SERIES_CAP,
         term = w[:m] * z if ra.size == 1 else w[:m, rad] * z[:, ang]
         runs = _running(np.add, run, term)
         abs_term = np.abs(term)
-        abs_runs = _running(np.add, abs_run, abs_term)
+        # only the fallback reads the sums of |term|
+        abs_runs = _running(np.add, abs_run, abs_term) if fallback else runs
         bound = np.abs(runs)
         bound += _LD(1e-30)
         bound *= _LD(SERIES_TAIL_TOL)
@@ -302,9 +322,9 @@ def poisson_hyp_series_rt(n: int, r, t, delta, cap: int = SERIES_CAP,
                       "reaching the tail tolerance", TruncationWarning)
         total[act], abs_total[act] = run, abs_run
     out = total.astype(float)
-    if np.isfinite(mp_amplification):
+    if fallback:
         # where the alternating terms cancelled beyond extended-precision
-        # reach, redo those triples in arbitrary precision
+        # reach, redo those triples in high precision
         ampl = abs_total / (np.abs(total) + _LD(1e-300))
         for i in np.nonzero(ampl > _LD(mp_amplification))[0]:
             # working precision sized to the observed cancellation

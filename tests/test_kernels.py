@@ -1,10 +1,15 @@
 """Tests for kernel evaluation, the even-dimension decomposition, and the
 radial transfer identity."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,21 +220,35 @@ def series_point_mp_loop(n, r, t, delta, cap, dps=40):
 
 
 def check_mp_weights(n, r, delta, dps, degrees=(1, 2, 7, 64, 300, 1024)):
-    """The degree-l weights of the mpmath fallback's sum at dps digits, from
-    a table at the least precision it uses, against the per-degree
-    reference ratios at dps + 10 digits, to 10^-dps relative. A weight
-    carries the leading coefficient of C_l, prod_k (2k+n-4)/k."""
+    """The degree-l weights of the fallback's sum at dps digits, from a
+    table at the least precision it uses, against the per-degree reference
+    ratios at dps + 10 digits, to 10^-dps relative. A weight is an integer
+    mantissa m over 2^s."""
     import mpmath as mp
 
     table = ker._mp_table(n, r, delta, dps + ker._MP_GUARD, 1024)
     with mp.workdps(dps + 10):
         for l in degrees:
-            lead = mp.fprod(mp.mpf(2 * k + n - 4) / k for k in range(1, l + 1))
             want = (ratio_mp(n, l, r, delta, dps + 10) * mp.mpf(r) ** l
-                    * (2 * l + n - 2) / (n - 2) * lead)
-            got = table[l][0]
+                    * (2 * l + n - 2) / (n - 2))
+            m, s = table[l]
+            got = mp.ldexp(m, -s)
             assert abs(got - want) <= mp.mpf(10) ** -dps * abs(want), \
                 (n, r, delta, l)
+
+
+NO_MPMATH_SCRIPT = """
+import contextlib, io, json, sys
+from hyperharm import cli, kernels
+points = []
+point = kernels._series_point_mp
+kernels._series_point_mp = lambda *a, **k: points.append(a) or point(*a, **k)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["kernel", "--kind", "hyp-delta", "--n", "6", "--r", "0.9",
+                     "--delta", "1", "--grid-degree", "30"])
+print(json.dumps([code, len(points),
+                  sorted(m for m in sys.modules if m.startswith("mpmath"))]))
+"""
 
 
 def capped(fn, *args, **kw):
@@ -307,7 +326,7 @@ class TestSeries:
 
     def test_angles_stop_on_their_own(self, monkeypatch):
         # an angle's value does not depend on the other angles in the call
-        # (the series alone here; the mpmath fallback is checked below)
+        # (the series alone here; the fallback is checked below)
         ts = np.linspace(-1.0, 1.0, 11)
         kw = dict(mp_amplification=np.inf)
         for n in (3, 4, 5, 6):
@@ -317,7 +336,7 @@ class TestSeries:
                     alone = [ker.poisson_hyp_series_rt(n, r, t, delta, **kw)
                              for t in ts]
                     assert np.array_equal(grid, np.concatenate(alone))
-        # an angle that takes the mpmath fallback, alone and in a batch
+        # an angle that takes the high-precision fallback, alone and in a batch
         fallback = []
         mp_point = ker._series_point_mp
         monkeypatch.setattr(ker, "_series_point_mp",
@@ -430,8 +449,7 @@ class TestSeries:
             for delta in (0.25, 0.5, 0.95, 1.0):
                 for r in (0.0, 0.3, 0.9, 0.99):
                     check_mp_weights(n, r, delta, 22)
-        # and whole points, against the reference loop in ten more digits;
-        # the first point keeps about 12 digits at its dps
+        # and whole points, against the reference loop in ten more digits
         for n, r, t, delta, dps in ((6, 0.9, -0.9957, 1.0, 22),
                                     (6, 0.9, -0.9, 1.0, 22),
                                     (6, 0.8, -0.99, 0.5, 21),
@@ -474,6 +492,61 @@ class TestSeries:
                 want = ((1 - rr ** 2) / (1 + rr ** 2 - 2 * rr * tt)) ** (n - 1)
                 assert abs(got / want - 1) <= 4e-15, (n, r, tt)
 
+    def test_mp_points_at_deep_cancellation(self, monkeypatch):
+        # delta = 1 against the closed form in 50 digits, at a dps too low
+        # where the terms cancel deepest (n = 8, r = 0.9, t = -1: value
+        # 1.1e-9 from terms near 1e9), so that the point sizes its own
+        # precision from its sum; and through the series (11, 0.85, -1):
+        # value 1.2e-11 from terms near 1e11, cancellation past what the
+        # long-double pass can measure
+        import mpmath as mp
+
+        def closed(n, r, t):
+            with mp.workdps(50):
+                r, t = mp.mpf(r), mp.mpf(t)
+                return ((1 - r ** 2) / (1 + r ** 2 - 2 * r * t)) ** (n - 1)
+
+        for n in range(3, 9):
+            for r in (0.6, 0.9):
+                for t in (-1.0, -0.95, -0.9):
+                    got = ker._series_point_mp(n, r, t, 1.0, 1024, dps=20)
+                    assert abs(got / closed(n, r, t) - 1) <= 4e-15, (n, r, t)
+        seen = []
+        mp_point = ker._series_point_mp
+        monkeypatch.setattr(ker, "_series_point_mp",
+                            lambda *a, **k: seen.append((a, k["dps"]))
+                            or mp_point(*a, **k))
+        got = ker.poisson_hyp_series_rt(11, 0.85, -1.0, 1.0)[0]
+        assert len(seen) == 1 and got < 1e-10
+        assert abs(got / closed(11, 0.85, -1.0) - 1) <= 4e-15
+        # delta < 1, at the dps the series picks, against the reference loop
+        # in ten more digits up to degree 2048, so that a point that reached
+        # the cap would show; (10, 0.9, -1, 0.95) cancels by 3e20
+        seen.clear()
+        for n, r, t, delta in ((6, 0.9, -1.0, 0.95), (8, 0.9, -1.0, 0.25),
+                               (10, 0.9, -1.0, 0.95)):
+            got = ker.poisson_hyp_series_rt(n, r, t, delta)[0]
+            args, dps = seen[-1]
+            assert args == (n, r, t, delta, 1024), args
+            want = series_point_mp_loop(n, r, t, delta, 2048, dps=dps + 10)
+            assert got == pytest.approx(want, rel=4e-15, abs=0), args
+        assert len(seen) == 3
+
+    def test_mp_fallback_loads_no_mpmath(self):
+        # a kernel call whose fallback points take the Miller start, in a
+        # fresh interpreter: only the start near x = 1 imports mpmath
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", NO_MPMATH_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        code, points, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and points > 0
+        assert loaded == []
+
     def test_truncation_warning(self):
         with pytest.warns(TruncationWarning):
             ker.poisson_hyp_series_rt(6, 0.95, -0.2, 1.0, cap=10)
@@ -506,7 +579,7 @@ class TestSeries:
         t = np.concatenate([np.linspace(-1.0, 1.0, 9), [-0.9957, 0.123]])
         for n in (3, 4, 5, 6):
             check(n, r, t, deltas, mp_amplification=np.inf)
-        # the mpmath fallback on, at points near t = -1 where it is taken
+        # the fallback on, at points near t = -1 where it is taken
         fallback = []
         mp_point = ker._series_point_mp
         monkeypatch.setattr(ker, "_series_point_mp",
