@@ -23,7 +23,7 @@ import numpy as np
 from . import geometry as geo
 from . import harmonic as hm
 from . import specfun as sf
-from .errors import QuadratureFailure, UnsupportedRequest
+from .errors import UnsupportedRequest
 from .geometry import ConeRegion, SphereGrid
 
 
@@ -221,17 +221,10 @@ def area_integral(u, alpha: float, grid: FunctionalGrid,
                 out.append(float(vg.weights @ (qv * w)))
         return np.array(out)
 
-    spec = grid.cone
-    prev = sweep(spec)
-    for _ in range(2):
-        spec = spec.doubled()
-        cur = sweep(spec)
-        scale = max(float(np.max(cur)), 1e-300)
-        if float(np.max(np.abs(cur - prev))) <= refine_tol * scale:
-            kind = "area-radial" if radial_only else "area"
-            return FunctionalResult(kind, grid, np.sqrt(np.maximum(cur, 0.0)))
-        prev = cur
-    raise QuadratureFailure("cone integral did not settle under refinement")
+    specs = (grid.cone, grid.cone.doubled(), grid.cone.doubled().doubled())
+    cur = sf.settle(sweep, specs, refine_tol, 1e-300, "cone integral")
+    kind = "area-radial" if radial_only else "area"
+    return FunctionalResult(kind, grid, np.sqrt(np.maximum(cur, 0.0)))
 
 
 def littlewood_paley_g(u, grid: FunctionalGrid,
@@ -244,15 +237,9 @@ def littlewood_paley_g(u, grid: FunctionalGrid,
     nodes = grid.boundary.nodes
     n = nodes.shape[1]
     q = _square_func(u, radial_only)
-    xg, wg = sf.gauss_jacobi(8)
     edges = np.concatenate([[0.0], grid.radii])
-    ts, tw = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        ts.append(lo + half * (xg + 1.0))
-        tw.append(half * wg)
-    ts = np.concatenate(ts)
-    tw = np.concatenate(tw)
+    ts, tw = (a.ravel() for a in sf.gauss_legendre_on(edges[:-1], edges[1:],
+                                                      8))
     weight = tw * (1.0 - ts ** 2)
     pts = (ts[:, None, None] * nodes[None, :, :]).reshape(-1, n)
     vals = q(pts).reshape(len(ts), len(nodes))
@@ -279,21 +266,14 @@ def ray_integral_Il(f, l: float, x) -> float:
     if r == 0.0:
         return 0.0
     zeta = x / r
-    xg, wg = sf.gauss_jacobi(12)
-    panels = 4
-    prev = None
-    for _ in range(12):
+
+    def estimate(panels):
         edges = r * (1.0 - 0.5 ** np.arange(panels + 1))
         edges[-1] = r
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        t = edges[:-1, None] + half * (xg + 1.0)
-        vals = _values(f, t.reshape(-1, 1) * zeta[None, :]).reshape(t.shape)
-        total = 0.0
-        for h, v, tp in zip(half[:, 0], vals, t):
-            total += h * float(wg @ (v * (1.0 - tp) ** (l - 1.0)))
-        if prev is not None and abs(total - prev) <= 1e-10 * max(abs(total),
-                                                                1.0):
-            return total
-        prev = total
-        panels *= 2
-    raise QuadratureFailure("ray integral did not settle")
+        t, w = (a.ravel() for a in sf.gauss_legendre_on(edges[:-1], edges[1:],
+                                                        12))
+        vals = _values(f, t[:, None] * zeta[None, :])
+        return float(w @ (vals * (1.0 - t) ** (l - 1.0)))
+
+    return sf.settle(estimate, (4 * 2 ** k for k in range(12)), 1e-10, 1.0,
+                     "ray integral")

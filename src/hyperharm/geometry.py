@@ -162,17 +162,15 @@ def ball_quadrature(n: int, center, radius: float, n_radial: int = 24,
         axis2 = np.eye(n)[min(1, n - 1)]
     e1, e2, e3 = orthonormal_frame(axis1, axis2, n=n)
 
-    rq, rw = sf.gauss_jacobi(n_radial)
-    rho = 0.5 * radius * (rq + 1.0)
-    rhow = 0.5 * radius * rw * rho ** (n - 1)
+    rho, rhow = sf.gauss_legendre_on(0.0, radius, n_radial)
+    rhow = rhow * rho ** (n - 1)
 
     # sphere directions via the two-direction disk reduction:
     # w = sin(psi)(cos th, sin th), remainder on +-e3 with half weight;
     # ordered psi, theta, sign. Trig and powers are taken per scalar, as
     # numpy's array versions may round differently.
-    pq, pw = sf.gauss_jacobi(n_psi)
-    psi = (0.25 * math.pi * (pq + 1.0)).tolist()
-    psw = 0.25 * math.pi * pw
+    psi, psw = sf.gauss_legendre_on(0.0, 0.5 * math.pi, n_psi)
+    psi = psi.tolist()
     th = (2.0 * math.pi * np.arange(n_theta) / n_theta).tolist()
     thw = 2.0 * math.pi / n_theta
     area_rest = sphere_area(n - 3) if n > 3 else 2.0
@@ -192,44 +190,43 @@ def ball_quadrature(n: int, center, radius: float, n_radial: int = 24,
     return VolumeGrid(pts.reshape(-1, n), wts.ravel())
 
 
+def cone_slice(region: ConeRegion, n: int, r_max: float, shells: int,
+               n_radial: int, n_polar: int):
+    """cone_quadrature's rule in (|x|, <x, xi> / |x|) alone: radii r in
+    dyadic shells up to r_max, where the region meets their sphere, with
+    weights wr, and a row of polar cosines t from the cone cut to 1 per
+    radius, with weights wt. The powers r^(n-1) and (1-t^2)^((n-3)/2) in the
+    weights are taken per scalar (array power may round differently)."""
+    edges = [0.0] + [1.0 - 0.5 ** (j + 1) for j in range(shells)]
+    edges = np.array([e for e in edges if e < r_max] + [r_max])
+    r, wr = (a.ravel() for a in sf.gauss_legendre_on(edges[:-1], edges[1:],
+                                                     n_radial))
+    wr = wr * np.array([x ** (n - 1) for x in r.tolist()])
+    tmin = np.array([cone_polar_cut(region, x) for x in r.tolist()])
+    keep = tmin < 1.0
+    r, wr, tmin = r[keep], wr[keep], tmin[keep]
+    t, wt = sf.gauss_legendre_on(tmin, 1.0, n_polar)
+    wt = wt * np.array([(1.0 - x * x) ** ((n - 3) / 2.0)
+                        for x in t.ravel().tolist()]).reshape(t.shape)
+    return r, wr, t, wt
+
+
 def cone_quadrature(region: ConeRegion, n: int, r_max: float,
                     pole=None, shells: int = 18, n_radial: int = 4,
                     n_polar: int = 12, n_angular: int = 12) -> VolumeGrid:
     """Lebesgue quadrature over the approach region truncated at |x| <= r_max.
 
-    Dyadic radial shells x Gauss-Legendre, polar nodes between the per-radius
-    cone cut and 1, angular nodes against the (1-s^2)^{(n-4)/2} reduction.
-    Exact only for integrands depending on |x|, <x, xi> and <x, pole>;
-    for n = 3 with uniform-azimuth nodes this covers all integrands.
-
-    Nodes are ordered shell, radial, polar, angular. The power factors are
-    taken per scalar with float ** (array power may round differently).
+    cone_slice placed in a frame led by xi, times angular nodes against the
+    (1-s^2)^{(n-4)/2} reduction. Exact only for integrands depending on |x|,
+    <x, xi> and <x, pole>; for n = 3 with uniform-azimuth nodes this covers
+    all integrands. Nodes are ordered shell, radial, polar, angular.
     """
     xi = region.xi
-    if pole is None:
-        pole = xi
-    pole = np.asarray(pole, dtype=float)
+    pole = xi if pole is None else np.asarray(pole, dtype=float)
     # frame: first vector xi, second toward the part of pole orthogonal to xi
     _, e2, e3 = orthonormal_frame(xi, pole, n=n)
-
-    gq, gw = sf.gauss_jacobi(n_radial)
-    pq, pw = sf.gauss_jacobi(n_polar)
+    r, wr, t, wt = cone_slice(region, n, r_max, shells, n_radial, n_polar)
     s_nodes, s_w = _angular_weight_rule(n, n_angular)
-
-    edges = [0.0] + [1.0 - 0.5 ** (j + 1) for j in range(shells)]
-    edges = np.array([e for e in edges if e < r_max] + [r_max])
-    lo = edges[:-1, None]
-    half = 0.5 * (edges[1:, None] - lo)
-    r = (lo + half * (gq + 1.0)).ravel()
-    wr = (half * gw).ravel() * np.array([x ** (n - 1) for x in r.tolist()])
-    tmin = np.array([cone_polar_cut(region, x) for x in r.tolist()])
-    keep = tmin < 1.0
-    r, wr, tmin = r[keep], wr[keep], tmin[keep]
-
-    th = 0.5 * (1.0 - tmin)[:, None]
-    t = tmin[:, None] + th * (pq + 1.0)
-    wt = th * pw * np.array([(1.0 - x * x) ** ((n - 3) / 2.0)
-                             for x in t.ravel().tolist()]).reshape(t.shape)
     rt = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     sq = np.sqrt(np.maximum(1.0 - s_nodes * s_nodes, 0.0))
     ang = s_nodes[:, None] * e2 + sq[:, None] * e3

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import specfun as sf
-from .errors import (DataFileError, OriginSingularity, QuadratureFailure,
-                     UnsupportedDimension)
+from .errors import DataFileError, OriginSingularity, UnsupportedDimension
 
 _P = np.polynomial.polynomial
 
@@ -670,24 +669,13 @@ def invert_N_from_ray(v_func, r: float, n: int, k: int) -> float:
     """
     a = 2 * n - 3 - 2 * k
 
-    def integrand(t):
-        return v_func(t) * t ** a * (1.0 - t ** 2) ** (k - n)
-
-    xg, wg = sf.gauss_jacobi(16)
-    prev = None
-    panels = 4
-    for _ in range(10):
+    def estimate(panels):
         edges = r * (1.0 - 0.5 ** np.arange(panels + 1))
         edges[-1] = r
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            ts = lo + half * (xg + 1.0)
-            total += half * float(wg @ integrand(ts))
-        if prev is not None and abs(total - prev) <= 1e-9 * max(abs(total),
-                                                               1e-30):
-            pref = ((1.0 - r ** 2) / r ** 2) ** (n - 1 - k)
-            return pref * total
-        prev = total
-        panels += 4
-    raise QuadratureFailure("ray inversion integral did not settle")
+        t, w = (x.ravel() for x in sf.gauss_legendre_on(edges[:-1], edges[1:],
+                                                        16))
+        return float(w @ (v_func(t) * t ** a * (1.0 - t ** 2) ** (k - n)))
+
+    total = sf.settle(estimate, range(4, 44, 4), 1e-9, 1e-30,
+                      "ray inversion integral")
+    return ((1.0 - r ** 2) / r ** 2) ** (n - 1 - k) * total

@@ -14,8 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun as sf
-from .errors import (NonConvergence, QuadratureFailure, TruncationWarning,
-                     UnsupportedDimension)
+from .errors import NonConvergence, TruncationWarning, UnsupportedDimension
 
 SERIES_CAP = 1024
 SERIES_TAIL_TOL = 1e-12
@@ -136,7 +135,8 @@ def _series_point_mp(n: int, r: float, t: float, delta: float,
     error, about 2^-bits sum|term|, is not below 2^-60 |total| (dps comes
     from a long-double |total|, noise past 1e19 cancellation), the point is
     redone at the precision that suffices. Returns total / 2^S, correctly
-    rounded."""
+    rounded; emits TruncationWarning when the sum reaches the cap with its
+    tail, about |last term| r/(1-r), above 2^-53 |total|."""
     T, u = t.as_integer_ratio()
     u = u.bit_length() - 1  # t = T / 2^u
     inv, inv2 = 10 ** (dps - 5), 10 ** (2 * (dps - 5))  # 1/tol, 1/tol^2
@@ -158,6 +158,10 @@ def _series_point_mp(n: int, r: float, t: float, delta: float,
                 break
         need = 61 + mass.bit_length() - abs(total).bit_length()
         if need <= bits or bits > 4000:  # 2^-4000: far below any double
+            rm, rd = r.as_integer_ratio()
+            if quiet < 5 and abs(term) * rm << 53 > abs(total) * (rd - rm):
+                warnings.warn("kernel series fallback truncated at the term "
+                              "cap above double rounding", TruncationWarning)
             return total / one
         digits = math.ceil(need / math.log2(10))
 
@@ -234,7 +238,6 @@ def poisson_hyp_series_rt(n: int, r, t, delta, cap: int = SERIES_CAP,
     dr_d, dr_r = d_u[dr // r_u.size], r_u[dr % r_u.size]
     total, abs_total = np.zeros((2, trips.size), dtype=_LD)
     fallback = np.isfinite(mp_amplification)
-    lam = (_LD(n) - 2) / 2
     # the active set: the triples still summing, their running state, and
     # their places (rad, ang) among the radial entries and angles in use.
     # Per radial entry: delta, r, the argument of F_l as a double, and r^l;
@@ -242,7 +245,7 @@ def poisson_hyp_series_rt(n: int, r, t, delta, cap: int = SERIES_CAP,
     act, rad, ang = np.arange(trips.size), dr_of, t_of
     da, ra, rpow = dr_d, dr_r, np.ones_like(dr_r)
     xr = (da.astype(_LD) ** 2 * ra ** 2).astype(float)
-    ta, c_prev, c_curr = t_u, np.zeros(t_u.size, _LD), np.ones(t_u.size, _LD)
+    ta, c_prev, c_curr = t_u, None, None
     run, abs_run = np.zeros((2, trips.size), dtype=_LD)
     # per triple: the last degree whose term was above the tail tolerance
     loud = np.full(trips.size, -1)
@@ -277,19 +280,11 @@ def poisson_hyp_series_rt(n: int, r, t, delta, cap: int = SERIES_CAP,
                 continue
             w[:m, pos] = num / den[:, col] * w[:m, pos]
         rpow = w[m]
-        # Z_l per distinct angle: the Gegenbauer recurrence C_l = (2(l+lam-1)
-        # t C_{l-1} - (l+2lam-2) C_{l-2}) / l, then Z_l = (2l+n-2)/(n-2) C_l,
-        # with the coefficients of the block's degrees taken at once
-        z = np.empty((m, ta.size), dtype=_LD)
-        lsl = ls.astype(_LD)
-        for j, a_l, b_l, l in zip(range(m), 2 * (ls + lam - 1),
-                                  ls + 2 * lam - 2, lsl):
-            if l == 1:
-                c_prev, c_curr = c_curr, 2 * lam * ta
-            elif l >= 2:
-                c_prev, c_curr = c_curr, (a_l * ta * c_curr - b_l * c_prev) / l
-            z[j] = c_curr
-        z *= ((2 * lsl + _LD(n) - 2) / (_LD(n) - 2))[:, None]
+        # Z_l = (2l+n-2)/(n-2) C_l per distinct angle, C_l Gegenbauer of
+        # index (n-2)/2 continued from the last block
+        z, c_prev, c_curr = sf.gegenbauer_rows((n - 2) / 2, ta, l0, m,
+                                               c_prev, c_curr)
+        z *= ((2 * ls.astype(_LD) + _LD(n) - 2) / (_LD(n) - 2))[:, None]
         # each triple's terms (one row per degree) and its running sums,
         # accumulated in order so that they round like run + term. With one
         # radial entry left, its triples are the angles in use, in order.
@@ -508,13 +503,9 @@ def eta_constant(n: int) -> float:
 def eta_kernel(r, s, n: int, c: float | None = None):
     """Transfer density eta(r, s) with
     int_0^1 eta(r, s) P_h(s r zeta, xi) ds = P_e(r zeta, xi)."""
-    if c is None:
-        c = eta_constant(n)
-    r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
-    return (c * (1.0 - r ** 2) * (1.0 - (r * s) ** 2) ** (2.0 - n)
-            * ((1.0 - s) * (1.0 - s * r ** 2)) ** (n / 2.0 - 2.0)
-            * s ** (n / 2.0 - 1.0))
+    return (eta_smooth_part(r, s, n, c) * s ** (n / 2.0 - 1.0)
+            * (1.0 - s) ** (n / 2.0 - 2.0))
 
 
 def eta_smooth_part(r, s, n: int, c: float | None = None):
@@ -540,24 +531,18 @@ def transfer_integral(func, r: float, n: int,
     """int_0^1 eta(r, s) func(s) ds by Gauss-Jacobi in s (the exact endpoint
     weights of eta), from 24 nodes, doubled at most six times until two
     passes agree to 1e-10."""
-    prev = None
-    m = 24
-    for _ in range(7):
-        # weight (1-x)^a (1+x)^b on [-1,1]; s=(1+x)/2 gives
-        # (1-s)^a s^b ds = ((1-x)/2)^a ((1+x)/2)^b dx/2
-        a, b = n / 2.0 - 2.0, n / 2.0 - 1.0
+    # weight (1-x)^a (1+x)^b on [-1,1]; s=(1+x)/2 gives
+    # (1-s)^a s^b ds = ((1-x)/2)^a ((1+x)/2)^b dx/2
+    a, b = n / 2.0 - 2.0, n / 2.0 - 1.0
+
+    def estimate(m):
         x, w = sf.gauss_jacobi(m, a, b)
         s = 0.5 * (x + 1.0)
-        scale = 0.5 ** (a + b + 1.0)
         vals = eta_smooth_part(r, s, n, c) * np.asarray(func(s), dtype=float)
-        out = scale * float(w @ vals)
-        if prev is not None and \
-                abs(out - prev) <= 1e-10 * max(abs(out), 1.0):
-            return out
-        prev = out
-        m *= 2
-    raise QuadratureFailure("transfer integral did not settle under node "
-                            "doubling")
+        return 0.5 ** (a + b + 1.0) * float(w @ vals)
+
+    return sf.settle(estimate, (24 * 2 ** k for k in range(7)), 1e-10, 1.0,
+                     "transfer integral")
 
 
 def transfer_euclid_from_hyp(u, x) -> float:

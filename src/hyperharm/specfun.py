@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, QuadratureFailure
 
 SERIES_TOL = 1e-12
 SERIES_CAP = 100_000
@@ -80,6 +80,32 @@ def gauss_jacobi(m: int, a: float = 0.0, b: float = 0.0):
         x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def gauss_legendre_on(lo, hi, m: int):
+    """The m-point Gauss-Legendre rule (x, w) mapped onto [lo, hi]: nodes
+    lo + h (x + 1) and weights h w, h = (hi - lo) / 2. lo and hi may be
+    arrays, broadcast together; each interval's nodes and weights then run
+    along a new last axis."""
+    x, w = gauss_jacobi(m)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    h = (np.asarray(hi, dtype=float)[..., None] - lo) / 2
+    return lo + h * (x + 1.0), h * w
+
+
+def settle(estimate, sizes, tol: float, floor: float, what: str):
+    """estimate(size) for each size in turn, until two successive values
+    agree: returns the first value v whose largest difference from the one
+    before is at most tol * max(|v|, floor), |v| its largest entry for an
+    array. Raises QuadratureFailure, naming what, when no pair agrees."""
+    prev = None
+    for size in sizes:
+        cur = estimate(size)
+        if prev is not None and np.max(np.abs(cur - prev)) <= tol * max(
+                np.max(np.abs(cur)), floor):
+            return cur
+        prev = cur
+    raise QuadratureFailure(f"{what} did not settle")
 
 
 def gauss_Fl_at_one(l: int, n: int) -> float:
@@ -188,16 +214,9 @@ def _euler_panels():
     """Composite Gauss-Legendre rule on [0,1), 12 nodes on each of 40 panels
     refined geometrically toward t = 1, so integrands with endpoint scales
     down to ~2^-40 are resolved uniformly."""
-    xg, wg = gauss_jacobi(12)
-    ts, ws = [], []
-    lo = 0.0
-    for j in range(40):
-        hi = 1.0 - 0.5 ** (j + 1)
-        half = 0.5 * (hi - lo)
-        ts.append(lo + half * (xg + 1.0))
-        ws.append(half * wg)
-        lo = hi
-    return np.concatenate(ts), np.concatenate(ws)
+    edges = np.array([0.0] + [1.0 - 0.5 ** (j + 1) for j in range(40)])
+    t, w = gauss_legendre_on(edges[:-1], edges[1:], 12)
+    return t.ravel(), w.ravel()
 
 
 def _euler_2f1(a, b: float, c, x):
@@ -291,24 +310,31 @@ def fl_deriv(l, n: int, x, order: int = 1):
 # zonal harmonics
 
 
-def _gegenbauer_all(lmax: int, lam: float, t):
-    """C_0 .. C_lmax of the Gegenbauer family with parameter lam at t, by the
-    forward three-term recurrence (stable on [-1, 1])."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty((lmax + 1,) + t.shape)
-    out[0] = 1.0
-    if lmax >= 1:
-        out[1] = 2.0 * lam * t
-    for l in range(2, lmax + 1):
-        out[l] = (2.0 * (l + lam - 1.0) * t * out[l - 1]
-                  - (l + 2.0 * lam - 2.0) * out[l - 2]) / l
-    return out
+def gegenbauer_rows(lam: float, t, l0: int, m: int, prev, curr):
+    """C_l0 .. C_(l0+m-1) of the Gegenbauer family with parameter lam at t,
+    stacked along a new first axis, by the forward recurrence C_l =
+    (2(l+lam-1) t C_(l-1) - (l+2lam-2) C_(l-2)) / l (stable on [-1, 1]) in
+    the precision of t, from prev = C_(l0-2) and curr = C_(l0-1) (unread for
+    l0 = 0). Returns (rows, C_(l0+m-2), C_(l0+m-1)): blocks chain exactly."""
+    t = np.asarray(t)
+    lam = t.dtype.type(lam)
+    rows = np.empty((m,) + t.shape, t.dtype)
+    for j, l in enumerate(range(l0, l0 + m)):
+        if l == 0:
+            prev, curr = np.zeros_like(t), np.ones_like(t)
+        elif l == 1:
+            prev, curr = curr, 2 * lam * t
+        else:
+            prev, curr = curr, (2 * (l + lam - 1) * t * curr
+                                - (l + 2 * lam - 2) * prev) / l
+        rows[j] = curr
+    return rows, prev, curr
 
 
 def zonal_all(lmax: int, n: int, t):
     """Z_0(t) .. Z_lmax(t) stacked along the first axis."""
-    lam = (n - 2.0) / 2.0
-    c = _gegenbauer_all(lmax, lam, t)
+    c = gegenbauer_rows((n - 2.0) / 2.0, np.asarray(t, dtype=float), 0,
+                        lmax + 1, None, None)[0]
     scale = (2.0 * np.arange(lmax + 1) + n - 2.0) / (n - 2.0)
     return c * scale.reshape((-1,) + (1,) * (c.ndim - 1))
 
@@ -323,7 +349,7 @@ def zonal_deriv_all(lmax: int, n: int, t):
         ls = np.arange(1, lmax + 1, dtype=float)
         scale = (2.0 * ls + n - 2.0) / (n - 2.0) * 2.0 * lam
         out[1:] = scale.reshape((-1,) + (1,) * t.ndim) \
-            * _gegenbauer_all(lmax - 1, lam + 1.0, t)
+            * gegenbauer_rows(lam + 1.0, t, 0, lmax, None, None)[0]
     return out
 
 

@@ -450,24 +450,21 @@ def suite_prop18(config: RunConfig) -> SuiteReport:
             - (1.0 + r) ** (n - 2)) for r in r_grid]))
     zero_err = abs(float(base[deltas.index(0.0)]) - 1.0)
 
-    # in-cone lower bound: positivity of P_{h,delta} (1-|x|^2)^(n-1), the
-    # nodes of all four cones and every delta in one series call, each node
-    # at its radius rounded to 12 digits
+    # in-cone lower bound: positivity of P_{h,delta} (1-|x|^2)^(n-1) on the
+    # (radius, polar cosine) nodes of all four cones, which the kernel
+    # depends on alone, and every delta in one series call
     xi = np.zeros(n)
     xi[0] = 1.0
     alphas = (0.1, 0.3, 0.5, 0.7)
     radii, angles = [], []
     for alpha in alphas:
-        vg = geo.cone_quadrature(ConeRegion(alpha, xi), n, 0.95, shells=10,
-                                 n_radial=3, n_polar=8, n_angular=8)
-        r = np.linalg.norm(vg.points, axis=1)
-        radii.append(np.round(r, 12))
-        angles.append(np.clip((vg.points @ xi) / np.where(r > 0, r, 1.0),
-                              -1.0, 1.0))
+        r, _, t, _ = geo.cone_slice(ConeRegion(alpha, xi), n, 0.95, shells=10,
+                                    n_radial=3, n_polar=8)
+        radii.append(np.repeat(r, t.shape[1]))
+        angles.append(t.ravel())
     cone_of = np.repeat(np.arange(len(alphas)), [a.size for a in angles])
     radii, angles = np.concatenate(radii), np.concatenate(angles)
-    r_u, r_inv = np.unique(radii, return_inverse=True)
-    weight = np.array([(1 - ri ** 2) ** (n - 1) for ri in r_u])[r_inv]
+    weight = np.array([(1 - ri ** 2) ** (n - 1) for ri in radii])
     vals = ker.poisson_hyp_series_rt(n, radii, angles,
                                      np.asarray(deltas)[:, None],
                                      mp_amplification=np.inf)

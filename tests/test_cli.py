@@ -104,6 +104,30 @@ class TestKernel:
         assert code == 0
         assert len(parse_csv(out)) == 202
 
+    @pytest.mark.parametrize("n", ["9", "10", "11", "12"])
+    def test_fallback_cut_at_cap_exit_3(self, capsys, n):
+        # at t = -1 the high-precision fallback reaches the degree cap with
+        # its tail above double rounding: one error line and no rows
+        code, out, err = run_cli(capsys, "kernel", "--kind", "hyp-delta",
+                                 "--n", n, "--r", "0.9", "--delta", "1",
+                                 "--grid-degree", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_fallback_tail_below_rounding(self, capsys):
+        # n = 8 reaches the cap too, with its tail below double rounding
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "kernel", "--kind", "hyp-delta",
+                                   "--n", "8", "--r", "0.9", "--delta", "1",
+                                   "--grid-degree", "60")
+        assert code == 0
+        rows = parse_csv(out)
+        assert rows[1][0] == "-1"
+        assert float(rows[1][1]) == pytest.approx((0.1 / 1.9) ** 7,
+                                                  rel=1e-15)
+
     def test_bad_flag_usage_exit(self, capsys):
         code, _, _ = run_cli(capsys, "kernel", "--kind", "nope",
                              "--n", "3", "--r", "0.5")

@@ -302,6 +302,28 @@ class TestCone:
                     assert np.array_equal(got.weights, wts)
 
 
+    def test_slice_is_radius_and_polar_cosine_of_cone_points(self):
+        rng = np.random.default_rng(12)
+        for n in (3, 4, 6):
+            for alpha in (0.1, 0.5, 0.9):
+                xi = rng.standard_normal(n)
+                xi /= np.linalg.norm(xi)
+                reg = geo.ConeRegion(alpha, xi)
+                kw = dict(shells=10, n_radial=3, n_polar=8)
+                r, wr, t, wt = geo.cone_slice(reg, n, 0.95, **kw)
+                vg = geo.cone_quadrature(reg, n, 0.95, pole=-xi, n_angular=5,
+                                         **kw)
+                pts = vg.points.reshape(r.size, t.shape[1], 5, n)
+                rad = np.linalg.norm(pts, axis=-1)
+                assert np.max(np.abs(rad - r[:, None, None])) <= 1e-15
+                cos = pts @ xi / rad
+                assert np.max(np.abs(cos - t[:, :, None])) <= 1e-15
+                s_w = geo._angular_weight_rule(n, 5)[1]
+                assert np.array_equal(vg.weights,
+                                      ((wr[:, None] * wt)[:, :, None]
+                                       * s_w).ravel())
+
+
 class TestSphereQuadrature:
     def test_unit_mass_all_grids(self):
         for n in (3, 4, 5, 6):

@@ -523,14 +523,22 @@ class TestSeries:
         # in ten more digits up to degree 2048, so that a point that reached
         # the cap would show; (10, 0.9, -1, 0.95) cancels by 3e20
         seen.clear()
+        capped = []
         for n, r, t, delta in ((6, 0.9, -1.0, 0.95), (8, 0.9, -1.0, 0.25),
                                (10, 0.9, -1.0, 0.95)):
-            got = ker.poisson_hyp_series_rt(n, r, t, delta)[0]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = ker.poisson_hyp_series_rt(n, r, t, delta)[0]
+            capped.append(any(issubclass(w.category, TruncationWarning)
+                              for w in caught))
             args, dps = seen[-1]
             assert args == (n, r, t, delta, 1024), args
             want = series_point_mp_loop(n, r, t, delta, 2048, dps=dps + 10)
             assert got == pytest.approx(want, rel=4e-15, abs=0), args
         assert len(seen) == 3
+        # the n = 10 point stops at the cap with its tail estimate, 3.7e-15
+        # relative, above double rounding (it lies 2.4e-16 from degree 2048)
+        assert capped == [False, False, True]
 
     def test_mp_fallback_loads_no_mpmath(self):
         # a kernel call whose fallback points take the Miller start, in a

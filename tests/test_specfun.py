@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hyperharm import specfun as sf
-from hyperharm.errors import NonConvergence
+from hyperharm.errors import NonConvergence, QuadratureFailure
 from oracles import gauss_jacobi_mp, sph_harm_y
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -323,7 +323,7 @@ class TestZonal:
             table = sf.zonal_deriv_all(40, n, ts)
             assert np.array_equal(table[0], np.zeros_like(ts))
             for l in range(1, 41):
-                c = sf._gegenbauer_all(l - 1, lam + 1.0, ts)[l - 1]
+                c = sf.gegenbauer_rows(lam + 1.0, ts, 0, l, None, None)[0][-1]
                 want = (2.0 * l + n - 2.0) / (n - 2.0) * 2.0 * lam * c
                 assert np.array_equal(table[l], want)
 
@@ -399,6 +399,87 @@ class TestGaussJacobi:
             w *= 2.0
         again = sf.gauss_jacobi(5, 0.0, 0.5)
         assert again[0] is x and again[1] is w
+
+
+class TestMappedRule:
+    def test_exact_through_degree_2m_minus_1_on_broadcast_intervals(self):
+        lo = np.array([[-1.0], [0.2], [2.0]])
+        hi = np.array([[0.5, 3.0]])
+        for m in (1, 4, 12):
+            x, w = sf.gauss_legendre_on(lo, hi, m)
+            assert x.shape == w.shape == (3, 2, m)
+            for k in range(2 * m):
+                want = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+                got = np.sum(w * x ** k, axis=-1)
+                scale = np.sum(np.abs(w * x ** k), axis=-1)
+                assert np.all(np.abs(got - want) <= 1e-13 * scale), (m, k)
+
+    def test_scalar_interval_maps_the_rule(self):
+        x0, w0 = sf.gauss_jacobi(8)
+        x, w = sf.gauss_legendre_on(0.25, 0.75, 8)
+        assert x.shape == (8,)
+        assert np.array_equal(x, 0.25 + 0.25 * (x0 + 1.0))
+        assert np.array_equal(w, 0.25 * w0)
+
+
+class TestSettle:
+    def test_returns_at_first_agreeing_pair(self):
+        seq = [1.0, 1.5, 1.5 + 1e-12, 1.5]
+        asked = []
+
+        def estimate(k):
+            asked.append(k)
+            return seq[k]
+
+        assert sf.settle(estimate, range(4), 1e-10, 1.0, "demo") == seq[2]
+        assert asked == [0, 1, 2]
+
+    def test_array_scale_is_largest_entry(self):
+        seq = [np.array([1.0, 100.0]), np.array([1.5, 100.0]),
+               np.array([1.5 + 1e-9, 100.0]), np.array([1.5, 100.0])]
+        got = sf.settle(lambda k: seq[k], range(4), 1e-10, 0.0, "demo")
+        assert got is seq[2]
+
+    def test_floor_bounds_the_scale(self):
+        seq = [1e-20, 2e-20, 2.5e-20]
+        assert sf.settle(lambda k: seq[k], range(3), 1e-10, 1.0,
+                         "demo") == seq[1]
+        with pytest.raises(QuadratureFailure):
+            sf.settle(lambda k: seq[k], range(3), 1e-10, 1e-30, "demo")
+
+    def test_failure_names_what(self):
+        with pytest.raises(QuadratureFailure,
+                           match="^ray integral did not settle$"):
+            sf.settle(float, range(5), 1e-10, 1.0, "ray integral")
+        with pytest.raises(QuadratureFailure, match="cone integral"):
+            sf.settle(lambda k: np.full(3, k), range(2), 1e-3, 1e-300,
+                      "cone integral")
+
+
+class TestGegenbauerRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
+    def test_blocks_equal_one_call(self, dtype, lam):
+        t = np.linspace(-1.0, 1.0, 33).astype(dtype)
+        whole, prev, curr = sf.gegenbauer_rows(lam, t, 0, 60, None, None)
+        assert whole.dtype == dtype
+        rows, p, c, l0 = [], None, None, 0
+        for m in (1, 1, 3, 8, 1, 15, 31):
+            block, p, c = sf.gegenbauer_rows(lam, t, l0, m, p, c)
+            rows.append(block)
+            l0 += m
+        assert np.array_equal(np.concatenate(rows), whole)
+        assert np.array_equal(p, prev) and np.array_equal(c, curr)
+        assert np.array_equal(prev, whole[-2]) and np.array_equal(curr,
+                                                                  whole[-1])
+
+    def test_chebyshev_second_kind(self):
+        # C_l^1(cos theta) = sin((l + 1) theta) / sin(theta)
+        theta = np.linspace(0.1, 3.0, 13)
+        rows = sf.gegenbauer_rows(1.0, np.cos(theta), 0, 30, None, None)[0]
+        l = np.arange(30)[:, None]
+        want = np.sin((l + 1) * theta) / np.sin(theta)
+        assert np.max(np.abs(rows - want)) <= 1e-12
 
 
 class TestSphHarm:

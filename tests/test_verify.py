@@ -4,6 +4,7 @@ determinism, and the fast suites end to end."""
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ import pytest
 from hyperharm import geometry as geo
 from hyperharm import harmonic as hm
 from hyperharm import verify as vf
+from hyperharm import kernels as ker
 from hyperharm.config import RunConfig
+from hyperharm.errors import TruncationWarning
 
 
 CFG = RunConfig(seed=0)
@@ -128,6 +131,44 @@ class TestFastSuites:
     def test_green_other_dimension(self):
         rep = vf.suite_green(RunConfig(n=4, seed=1))
         assert rep.status == "pass"
+
+
+def prop18_lower_bounds_on_nodes(n, alphas=(0.1, 0.3, 0.5, 0.7),
+                                 deltas=(0.0, 0.25, 0.5, 0.75, 1.0)):
+    """prop18's in-cone lower bounds taken on the n-dimensional cone grids:
+    each node's polar cosine and radius, rounded to 12 digits, recovered
+    from its coordinates."""
+    xi = np.zeros(n)
+    xi[0] = 1.0
+    out = {}
+    for alpha in alphas:
+        vg = geo.cone_quadrature(geo.ConeRegion(alpha, xi), n, 0.95,
+                                 shells=10, n_radial=3, n_polar=8,
+                                 n_angular=8)
+        r = np.linalg.norm(vg.points, axis=1)
+        t = np.clip(vg.points @ xi / r, -1.0, 1.0)
+        r = np.round(r, 12)
+        vals = ker.poisson_hyp_series_rt(n, r, t, np.asarray(deltas)[:, None],
+                                         mp_amplification=np.inf)
+        weight = np.array([(1 - ri ** 2) ** (n - 1) for ri in r])
+        out[alpha] = float(np.min(vals * weight))
+    return out
+
+
+class TestProp18LowerBound:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_node_oracle(self, n):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = vf.suite_prop18(RunConfig(n=n, seed=0))
+            want = prop18_lower_bounds_on_nodes(n)
+        # from n = 4 the upper-bound grids' pair (r 0.95, t -1) reaches the
+        # series' degree cap
+        assert any(issubclass(w.category, TruncationWarning)
+                   for w in caught) == (n > 3)
+        for alpha, v in want.items():
+            got = rep.constants[f"lower_bound_alpha_{alpha}"]
+            assert got == pytest.approx(v, rel=1e-10, abs=0.0)
 
 
 class TestNanReachesGate:
