@@ -122,11 +122,10 @@ def gauss_Fl_at_one(l: int, n: int) -> float:
     )
 
 
-def _series_block(a: float, b: float, c: float, x, term, total, k0: int,
-                  m: int):
+def _series_block(a, b: float, c, x, term, total, k0: int, m: int):
     """Terms k0+1 .. k0+m of the 2F1 series and the partial sums through
     them, continuing from term k0 and the sum through it (one row per point;
-    a and c are scalars or columns with one entry per row).
+    a and c are columns with one entry per row).
 
     Each row repeats the recurrence term * ratio_k * x multiplication for
     multiplication, as a running product over (term, ratio_k0, x,
@@ -173,12 +172,9 @@ def _series_2f1(a, b: float, c, x, tol: float, cap: int,
     point has not stopped within cap terms.
     """
     x = np.asarray(x)
-    x = x.astype(np.result_type(x, float), copy=False)
-    per_point = isinstance(a, np.ndarray) or isinstance(c, np.ndarray)
-    if per_point:
-        x, a, c = np.broadcast_arrays(x, a, c)
-        a, c = a.ravel(), c.ravel()
-    flat = x.ravel()
+    x, a, c = np.broadcast_arrays(
+        x.astype(np.result_type(x, float), copy=False), a, c)
+    flat, a, c = x.ravel(), a.ravel(), c.ravel()
     if b <= 0 and float(b).is_integer():
         m, real = int(-b), x.dtype.type
         a, b, c = real(a), real(b), real(c)
@@ -192,10 +188,10 @@ def _series_2f1(a, b: float, c, x, tol: float, cap: int,
     term = total = 1.0
     k0, step = 0, _first_block(flat, tol)
     while rows.size:
-        ar, cr = (a[rows, None], c[rows, None]) if per_point else (a, c)
+        ar, cr = a[rows, None], c[rows, None]
         if k0 >= cap:
             raise NonConvergence(
-                f"2F1({np.ravel(ar)[0]},{b};{np.ravel(cr)[0]}) series "
+                f"2F1({ar[0, 0]},{b};{cr[0, 0]}) series "
                 f"did not converge within {cap} terms")
         m = max(1, min(step, cap - k0, _SERIES_CELLS // rows.size))
         terms, sums = _series_block(ar, b, cr, flat[rows], term, total, k0, m)

@@ -115,6 +115,28 @@ class TestKernel:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", ["13", "100"])
+    def test_series_refuses_past_n12(self, capsys, tmp_path, n):
+        # past n = 12 the long-double F_l series cancels past its precision
+        # (at n = 100 it printed 3.6e-46 against the closed form's 5.8e-48)
+        for argv in (("kernel", "--kind", "hyp-delta", "--n", n, "--r",
+                      "0.5", "--delta", "1", "--grid-degree", "2"),
+                     ("verify", "prop18", "--n", n, "--out", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_series_at_n12_matches_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "kernel", "--kind", "hyp-delta",
+                               "--n", "12", "--r", "0.5", "--delta", "1",
+                               "--grid-degree", "20")
+        assert code == 0
+        t, vals = np.array(parse_csv(out)[1:], dtype=float).T
+        want = ((1 - 0.25) / (1.25 - t)) ** 11
+        assert np.max(np.abs(vals / want - 1)) <= 1e-10
+
     def test_fallback_tail_below_rounding(self, capsys):
         # n = 8 reaches the cap too, with its tail below double rounding
         with warnings.catch_warnings():

@@ -386,6 +386,35 @@ class TestSeries:
         got = ker.poisson_hyp_series_rt(5, 0.6, t, 0.5)
         assert np.array_equal(got, series_loop(5, 0.6, t, 0.5))
 
+    @pytest.mark.parametrize("n,r,t,delta", [
+        (3, 0.82, np.linspace(-1.0, 1.0, 201), 0.95),
+        (4, np.array([0.3, 0.9])[:, None], np.linspace(-1.0, 1.0, 21),
+         np.array([0.25, 0.75])[:, None, None])])
+    def test_normalisers_join_each_block_call(self, monkeypatch, n, r, t,
+                                              delta):
+        # each block takes its normalisers F_l(delta^2) in its one F_l
+        # call, from cold caches, with the per-degree loop's values
+        counts = {"blocks": 0, "series": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                counts[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        for cache in (ker._Fl_scalar, ker._mp_table):
+            cache.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(sf, "gegenbauer_rows",
+                      counted("blocks", sf.gegenbauer_rows))
+            m.setattr(sf, "_series_2f1", counted("series", sf._series_2f1))
+            got = ker.poisson_hyp_series_rt(n, r, t, delta)
+        assert 0 < counts["series"] <= counts["blocks"]
+        assert ker._Fl_scalar.cache_info().misses == 0
+        deltas = np.ravel(delta)
+        want = np.stack([series_loop(n, r, t, float(d)) for d in deltas])
+        assert np.array_equal(got, want.reshape(got.shape))
+
     def test_block_past_every_stop_fails_to_converge(self):
         # at delta^2 = 0.9998 the odd-n F_l(delta^2) series exceeds its term
         # cap from degree 44 on, past where every r = 0.3 pair stops; the

@@ -171,6 +171,35 @@ class TestProp18LowerBound:
             assert got == pytest.approx(v, rel=1e-10, abs=0.0)
 
 
+class TestProp18UpperBound:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_base_grid_read_from_fine_call(self, monkeypatch, n):
+        # the suite's one upper-bound call is the fine grid; the base grid
+        # it reads from it (rows at the base radii, even angles) equals a
+        # call of its own bit for bit
+        t41, t81 = np.linspace(-1.0, 1.0, 41), np.linspace(-1.0, 1.0, 81)
+        assert np.array_equal(t41, t81[::2])
+        seen = []
+        ratio = vf._kernel_ratio
+        monkeypatch.setattr(vf, "_kernel_ratio",
+                            lambda *a: seen.append((a, ratio(*a)))
+                            or seen[-1][1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            rep = vf.suite_prop18(RunConfig(n=n, seed=0))
+            [((_, deltas, r2, t), fine)] = seen
+            r = np.array([0.2, 0.5, 0.8, 0.95])
+            base = ratio(n, deltas, r, t41)
+        assert np.array_equal(t, t81) and np.isin(r, r2).all()
+        assert np.array_equal(fine[:, np.isin(r2, r), ::2], base)
+        c_base, c_fine = np.max(base), np.max(fine)
+        assert rep.constants["upper_bound_constant"] == c_fine
+        assert rep.constants["upper_bound_drift"] == abs(c_fine - c_base) \
+            / c_base
+        checks = {c.name: c.value for c in rep.checks}
+        assert checks["delta0_ratio_error"] == abs(np.max(base[0]) - 1.0)
+
+
 class TestNanReachesGate:
     def test_nan_mass_error_fails(self, monkeypatch):
         # a NaN on the delta = 0.5 slice of the unit-mass grid must not
